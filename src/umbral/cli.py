@@ -1,7 +1,13 @@
 """Command-line surface: emit triangles and series, run identity checks.
 
-Exit status: 0 when every comparison passed, 1 when at least one identity
-case failed (the report is still emitted), 2 on usage or parameter errors.
+Exit status:
+
+- 0: the command succeeded and, for ``verify``, every case passed.
+- 1: at least one identity case failed; the full report is still emitted.
+- 2: a usage or parameter error, including a parameter that does not apply
+  to the command (such as ``--a`` with ``verify t1``), or an I/O error such
+  as an ``--output`` path that cannot be written.  The message goes to
+  stderr after ``error:``.
 """
 
 from __future__ import annotations
@@ -14,22 +20,16 @@ from typing import List, Optional
 
 from .errors import UmbralError
 from .identities import verify
-from .rationals import parse_rational
+from .rationals import format_rational, parse_rational
 from .series import Series
-from .special import (
-    abel_triangle,
-    bernoulli_series,
-    euler_series,
-    lah_triangle,
-    mittag_leffler_triangle,
-    stirling1_triangle,
-)
-from .triangles import CoeffTriangle
+from .sheffer import FAMILIES
+from .special import bernoulli_series, euler_series
 
-TABLE_FAMILIES = ("stirling1u", "stirling1s", "lah", "lah-signed", "abel", "mittag-leffler")
 SERIES_OPS = ("revert", "compose", "pow", "bernoulli-gf", "euler-gf")
+# the series operations that each of these options applies to
+SERIES_OPTIONS = {"coeffs": ("revert", "compose", "pow"), "inner": ("compose",),
+                  "alpha": ("pow", "bernoulli-gf", "euler-gf")}
 IDENTITIES = ("t1", "t2", "t3", "remark", "xcheck")
-VERIFY_FAMILIES = ("rising-factorial", "lah", "lah-signed", "abel", "mittag-leffler")
 FORMATS = ("plain", "csv", "json")
 
 
@@ -47,9 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="emit a coefficient triangle")
-    table.add_argument("--family", choices=TABLE_FAMILIES, required=True)
-    table.add_argument("--a", type=_rational_arg, default=Fraction(1),
-                       help="abel parameter p/q (nonzero, default 1)")
+    table.add_argument("--family", choices=[row.table for row in FAMILIES], required=True)
+    table.add_argument("--a", type=_rational_arg, default=None,
+                       help="abel parameter p/q, nonzero; only for --family abel (default 1)")
     table.add_argument("--n-max", type=int, required=True)
     table.add_argument("--format", choices=FORMATS, default="plain")
     table.add_argument("--output", default=None, help="write to this path instead of stdout")
@@ -57,10 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     series = sub.add_parser("series", help="run one series operation")
     series.add_argument("op", choices=SERIES_OPS)
-    series.add_argument("--coeffs", default=None, help='series literal "c0,c1,..."')
-    series.add_argument("--inner", default=None, help="inner series literal for compose")
+    series.add_argument("--coeffs", default=None,
+                        help='series literal "c0,c1,..."; for revert, compose and pow')
+    series.add_argument("--inner", default=None, help="inner series literal; only for compose")
     series.add_argument("--alpha", type=_rational_arg, default=None,
-                        help="exponent / order p/q")
+                        help="exponent p/q for pow; order p/q for bernoulli-gf and euler-gf"
+                             " (default 1)")
     series.add_argument("--trunc", type=int, default=None)
     series.add_argument("--output", default=None)
     series.set_defaults(handler=_cmd_series)
@@ -70,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n-max", type=int, required=True)
     ver.add_argument("--m-max", type=int, required=True)
     ver.add_argument("--a", type=_rational_arg, default=None,
-                     help="abel parameter p/q (t3 and xcheck abel)")
-    ver.add_argument("--family", choices=VERIFY_FAMILIES, default=None,
-                     help="sequence family for xcheck")
+                     help="abel parameter p/q; only for t3 (default 1) and xcheck --family abel")
+    ver.add_argument("--family", choices=[name for row in FAMILIES for name in row.names],
+                     default=None, help="sequence family; only for xcheck, which requires it")
     ver.add_argument("--format", choices=FORMATS, default="plain")
     ver.add_argument("--output", default=None)
     ver.set_defaults(handler=_cmd_verify)
@@ -80,61 +82,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(lines, output: Optional[str]) -> None:
+def _write(lines, output: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UmbralError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
-def _build_table(args) -> CoeffTriangle:
-    if args.n_max < 0:
-        raise UmbralError("--n-max must be nonnegative")
-    name = args.family
-    if name == "stirling1u":
-        return stirling1_triangle(args.n_max, signed=False)
-    if name == "stirling1s":
-        return stirling1_triangle(args.n_max, signed=True)
-    if name == "lah":
-        return lah_triangle(args.n_max, signed=False)
-    if name == "lah-signed":
-        return lah_triangle(args.n_max, signed=True)
-    if name == "abel":
-        return abel_triangle(args.n_max, args.a)
-    return mittag_leffler_triangle(args.n_max)
-
-
-def _triangle_plain(triangle: CoeffTriangle):
-    cells = [[str(n)] + [format(c) for c in row]
-             for n, row in enumerate(triangle.rows)]
-    header = ["n\\k"] + [str(k) for k in range(triangle.n_max + 1)]
-    widths = [len(h) for h in header]
-    for row in cells:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    yield "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()
-    for row in cells:
-        yield "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+def _emit(args, plain_lines, csv_lines, to_json_obj) -> None:
+    """Render in the ``--format`` chosen, from whichever renderer it names."""
+    if args.format == "csv":
+        lines = csv_lines()
+    elif args.format == "json":
+        lines = [json.dumps(to_json_obj(), indent=2)]
+    else:
+        lines = plain_lines()
+    _write(lines, args.output)
 
 
 def _cmd_table(args) -> int:
-    triangle = _build_table(args)
-    if args.format == "csv":
-        lines = list(triangle.csv_lines())
-    elif args.format == "json":
+    if args.n_max < 0:
+        raise UmbralError("--n-max must be nonnegative")
+    row = next(row for row in FAMILIES if row.table == args.family)
+    params = ()
+    if row.takes_a:
+        params = (Fraction(1) if args.a is None else args.a,)
+    elif args.a is not None:
+        raise UmbralError(f"--a does not apply to table family {args.family!r}")
+    triangle = row.closed_triangle(args.n_max, *params)
+
+    def to_json_obj() -> dict:
         obj = {
             "family": args.family,
             "n_max": triangle.n_max,
-            "rows": [[str(c) for c in row] for row in triangle.rows],
+            "rows": [[format_rational(c) for c in r] for r in triangle.rows],
         }
-        if args.family == "abel":
-            obj["a"] = str(args.a)
-        lines = [json.dumps(obj, indent=2)]
-    else:
-        lines = list(_triangle_plain(triangle))
-    _emit(lines, args.output)
+        if params:
+            obj["a"] = format_rational(params[0])
+        return obj
+
+    _emit(args, triangle.plain_lines, triangle.csv_lines, to_json_obj)
     return 0
 
 
@@ -147,6 +139,9 @@ def _series_from_args(args, flag: str, value: Optional[str]) -> Series:
 def _cmd_series(args) -> int:
     if args.trunc is not None and args.trunc < 1:
         raise UmbralError("--trunc must be a positive integer")
+    for name, ops in SERIES_OPTIONS.items():
+        if getattr(args, name) is not None and args.op not in ops:
+            raise UmbralError(f"--{name} does not apply to series {args.op!r}")
     if args.op == "revert":
         result = _series_from_args(args, "--coeffs", args.coeffs).revert()
     elif args.op == "compose":
@@ -163,24 +158,22 @@ def _cmd_series(args) -> int:
         alpha = args.alpha if args.alpha is not None else Fraction(1)
         builder = bernoulli_series if args.op == "bernoulli-gf" else euler_series
         result = builder(alpha, args.trunc)
-    _emit([result.to_text()], args.output)
+    _write([result.to_text()], args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = verify(args.identity, args.n_max, args.m_max,
                     a=args.a, family_name=args.family)
-    if args.format == "csv":
-        lines = list(report.csv_lines())
-    elif args.format == "json":
-        lines = [json.dumps(report.to_json_obj(), indent=2)]
-    else:
-        lines = list(report.plain_lines())
-    _emit(lines, args.output)
+    _emit(args, report.plain_lines, report.csv_lines, report.to_json_obj)
     return 0 if report.all_equal else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # exact results and inputs may have any number of digits; the guard is
+    # for early 3.10 releases, which have neither the limit nor this call
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

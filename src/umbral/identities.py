@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .errors import InvalidParameterError
-from .rationals import RationalLike, format_rational
+from .rationals import RationalLike, align_columns, format_rational
 from .sheffer import family, umbral_power_gf, umbral_power_matrix
 from .special import bernoulli_high, compositions, euler_high, multinomial
 from .triangles import CoeffTriangle
@@ -249,9 +249,7 @@ class IdentityReport:
                          format_rational(c.lhs), format_rational(c.rhs),
                          "yes" if c.equal else "NO",
                          c.interpretation or "-"))
-        widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-        for r in rows:
-            yield "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip()
+        yield from align_columns(rows)
         for c in self.cases:
             if c.diagnostics is not None and not c.equal:
                 yield (f"diagnostics for n={c.n} m={c.m} k={c.k}"
@@ -261,76 +259,69 @@ class IdentityReport:
         yield f"all_equal: {'true' if self.all_equal else 'false'}"
 
 
-def _theorem_cases(n_max, m_max, lhs_fn, rhs_fn):
+def _walk(n_max, m_max, lhs, rhs, low=1, interpretation=None):
+    """Compare ``lhs(n, k, m)`` with ``rhs(n, k, m)`` in (n, m, k) order over
+    low <= k <= n <= n_max, 1 <= m <= m_max.  ``rhs`` returns the value and
+    its per-composition terms, or None; a mismatch keeps them as diagnostics.
+    """
     cases = []
-    for n in range(1, n_max + 1):
+    for n in range(low, n_max + 1):
         for m in range(1, m_max + 1):
-            for k in range(1, n + 1):
-                lhs = lhs_fn(n, k, m)
-                rhs = rhs_fn(n, k, m)
-                cases.append(IdentityCase(n, m, k, lhs, rhs, lhs == rhs))
-    return tuple(cases)
+            for k in range(low, n + 1):
+                left = lhs(n, k, m)
+                right, terms = rhs(n, k, m)
+                equal = left == right
+                cases.append(IdentityCase(
+                    n, m, k, left, right, equal, interpretation,
+                    diagnostics=None if equal else terms))
+    return cases
 
 
-def _remark_cases(n_max, m_max):
-    cases = []
-    for interpretation in INTERPRETATIONS:
-        for n in range(1, n_max + 1):
-            for m in range(1, m_max + 1):
-                for k in range(1, n + 1):
-                    lhs = remark_lhs(n, k, m)
-                    terms = remark_rhs_terms(n, k, m, interpretation)
-                    rhs = sum((value for _, value in terms), Fraction(0))
-                    equal = lhs == rhs
-                    cases.append(IdentityCase(
-                        n, m, k, lhs, rhs, equal,
-                        interpretation=interpretation,
-                        diagnostics=None if equal else terms,
-                    ))
-    return tuple(cases)
+def _without_terms(rhs):
+    return lambda n, k, m: (rhs(n, k, m), None)
 
 
-def _xcheck_cases(n_max, m_max, fam):
-    closed = fam.closed_triangle(n_max)
-    pair = fam.pair(n_max + 1)
-    cases = []
-    for m in range(1, m_max + 1):
-        lhs_triangle = umbral_power_matrix(closed, m)
-        rhs_triangle = umbral_power_gf(pair, m, n_max)
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                lhs = lhs_triangle.entry(n, k)
-                rhs = rhs_triangle.entry(n, k)
-                cases.append(IdentityCase(n, m, k, lhs, rhs, lhs == rhs))
-    # deterministic (n, m, k) ordering regardless of evaluation schedule
-    return tuple(sorted(cases, key=lambda c: (c.n, c.m, c.k)))
+def _remark_side(interpretation):
+    def rhs(n, k, m):
+        terms = remark_rhs_terms(n, k, m, interpretation)
+        return sum((value for _, value in terms), Fraction(0)), terms
+    return rhs
 
 
 def verify(identity: str, n_max: int, m_max: int, *,
            a: Optional[RationalLike] = None,
            family_name: Optional[str] = None) -> IdentityReport:
-    """Evaluate one identity on the full (n, m, k) grid and report each case."""
+    """Evaluate one identity on the full (n, m, k) grid and report each case.
+
+    ``a`` applies only to t3 and to xcheck of a family that takes it, and
+    ``family_name`` only to xcheck; passing either elsewhere is an error.
+    """
     identity = identity.upper()
     if identity not in IDENTITY_IDS:
         raise InvalidParameterError(f"unknown identity {identity!r}")
     if n_max < 1 or m_max < 1:
         raise InvalidParameterError("verification needs n_max >= 1 and m_max >= 1")
+    if family_name is not None and identity != XCHECK:
+        raise InvalidParameterError(f"identity {identity.lower()} takes no family")
+    if a is not None and identity in (T1, T2, REMARK):
+        raise InvalidParameterError(f"identity {identity.lower()} takes no parameter a")
 
     params: Dict[str, object] = {"n_max": n_max, "m_max": m_max}
     if identity == T1:
-        cases = _theorem_cases(n_max, m_max, t1_lhs, t1_rhs)
+        cases = _walk(n_max, m_max, t1_lhs, _without_terms(t1_rhs))
     elif identity == T2:
-        cases = _theorem_cases(n_max, m_max, t2_lhs, t2_rhs)
+        cases = _walk(n_max, m_max, t2_lhs, _without_terms(t2_rhs))
     elif identity == T3:
         a = Fraction(a if a is not None else 1)
         params["a"] = format_rational(a)
-        cases = _theorem_cases(
-            n_max, m_max,
-            lambda n, k, m: t3_lhs(n, k, m, a),
-            lambda n, k, m: t3_rhs(n, k, m, a))
+        cases = _walk(n_max, m_max,
+                      lambda n, k, m: t3_lhs(n, k, m, a),
+                      _without_terms(lambda n, k, m: t3_rhs(n, k, m, a)))
     elif identity == REMARK:
         params["interpretations"] = ",".join(INTERPRETATIONS)
-        cases = _remark_cases(n_max, m_max)
+        cases = [case for interpretation in INTERPRETATIONS
+                 for case in _walk(n_max, m_max, remark_lhs, _remark_side(interpretation),
+                                   interpretation=interpretation)]
     else:
         if family_name is None:
             raise InvalidParameterError("xcheck needs a family")
@@ -338,5 +329,11 @@ def verify(identity: str, n_max: int, m_max: int, *,
         params["family"] = fam.name
         if fam.a is not None:
             params["a"] = format_rational(fam.a)
-        cases = _xcheck_cases(n_max, m_max, fam)
-    return IdentityReport(identity, params, cases)
+        closed = fam.closed_triangle(n_max)
+        pair = fam.pair(n_max + 1)
+        matrix = {m: umbral_power_matrix(closed, m) for m in range(1, m_max + 1)}
+        gf = {m: umbral_power_gf(pair, m, n_max) for m in range(1, m_max + 1)}
+        cases = _walk(n_max, m_max,
+                      lambda n, k, m: matrix[m].entry(n, k),
+                      _without_terms(lambda n, k, m: gf[m].entry(n, k)), low=0)
+    return IdentityReport(identity, params, tuple(cases))

@@ -13,7 +13,6 @@ on ordinary coefficients.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -22,14 +21,6 @@ from .errors import ClassMismatchError, InvalidParameterError, OutOfRangeError
 from .rationals import RationalLike, format_rational, parse_rational
 
 ScalarOrSeries = Union["Series", Fraction, int]
-
-
-class SeriesClass(enum.Enum):
-    """Multiplicative/compositional role of a series, decided by its order."""
-
-    INVERTIBLE = "invertible"  # order 0: has a multiplicative inverse
-    DELTA = "delta"            # order 1: has a compositional inverse
-    OTHER = "other"
 
 
 class Series:
@@ -95,14 +86,6 @@ class Series:
             if c:
                 return k
         return None
-
-    def classify(self) -> SeriesClass:
-        o = self.order()
-        if o == 0:
-            return SeriesClass.INVERTIBLE
-        if o == 1:
-            return SeriesClass.DELTA
-        return SeriesClass.OTHER
 
     def truncated(self, trunc: int) -> "Series":
         """A copy with fewer retained coefficients; never extends."""

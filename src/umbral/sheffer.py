@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import (
     ClassMismatchError,
@@ -212,18 +212,6 @@ def transfer(p_triangle: CoeffTriangle, f: Series, g: Series, n_max: int) -> Coe
 # -- powers under composition ---------------------------------------------------------
 
 
-def compositional_power(f: Series, m: int) -> Series:
-    """m-fold self-composition of a delta series; m = 0 gives t."""
-    if m < 0:
-        raise InvalidParameterError("compositional power needs m >= 0")
-    if f.order() != 1:
-        raise ClassMismatchError("compositional power needs a delta series")
-    result = Series.t(f.trunc)
-    for _ in range(m):
-        result = f.compose(result)
-    return result
-
-
 def pair_power(pair: ShefferPair, m: int) -> ShefferPair:
     """The pair of the m-th umbral power: ``(prod_{i<m} g(f^i), f^m)``, m >= 1."""
     if m < 1:
@@ -283,8 +271,34 @@ def mittag_leffler_delta(trunc: int) -> Series:
     return em1 * ep1.inv()
 
 
-FAMILY_NAMES = ("rising-factorial", "lah", "abel", "mittag-leffler")
-_FAMILY_ALIASES = {"lah-signed": "lah"}
+@dataclass(frozen=True)
+class FamilyRow:
+    """One family: its ``umbral table`` name, the names :func:`family` accepts
+    (canonical first; none without a delta series) and its builders, which
+    take ``a`` as a trailing argument exactly when ``takes_a``."""
+
+    table: str
+    names: Tuple[str, ...]
+    closed_triangle: Callable[..., CoeffTriangle]
+    delta: Optional[Callable[..., Series]]
+    takes_a: bool = False
+
+
+# ``table lah`` is unsigned Lah; the family ``lah`` (alias ``lah-signed``) is
+# signed.  Calling the triangles through this module's names lets a wrapper
+# rebound onto them (as benchmarks/tracer.py does) see every call.
+FAMILIES = (
+    FamilyRow("stirling1u", ("rising-factorial",),
+              lambda n: stirling1_triangle(n, signed=False), rising_factorial_delta),
+    FamilyRow("stirling1s", (), lambda n: stirling1_triangle(n, signed=True), None),
+    FamilyRow("lah", (), lambda n: lah_triangle(n, signed=False), None),
+    FamilyRow("lah-signed", ("lah", "lah-signed"),
+              lambda n: lah_triangle(n, signed=True), lah_delta),
+    FamilyRow("abel", ("abel",), lambda n, a: abel_triangle(n, a), abel_delta, takes_a=True),
+    FamilyRow("mittag-leffler", ("mittag-leffler",),
+              lambda n: mittag_leffler_triangle(n), mittag_leffler_delta),
+)
+_BY_NAME = {name: row for row in FAMILIES for name in row.names}
 
 
 @dataclass(frozen=True)
@@ -295,37 +309,30 @@ class SequenceFamily:
     a: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.name not in FAMILY_NAMES:
+        row = _BY_NAME.get(self.name)
+        if row is None or row.names[0] != self.name:
             raise InvalidParameterError(f"unknown family {self.name!r}")
-        if self.name == "abel":
+        if row.takes_a:
             if self.a is None or self.a == 0:
-                raise InvalidParameterError("abel family needs a nonzero parameter")
+                raise InvalidParameterError(f"{self.name} family needs a nonzero parameter")
         elif self.a is not None:
             raise InvalidParameterError(f"family {self.name!r} takes no parameter")
 
+    def _params(self) -> tuple:
+        return () if self.a is None else (self.a,)
+
     def delta(self, trunc: int) -> Series:
-        if self.name == "rising-factorial":
-            return rising_factorial_delta(trunc)
-        if self.name == "lah":
-            return lah_delta(trunc)
-        if self.name == "abel":
-            return abel_delta(trunc, self.a)
-        return mittag_leffler_delta(trunc)
+        return _BY_NAME[self.name].delta(trunc, *self._params())
 
     def pair(self, trunc: int) -> ShefferPair:
         return ShefferPair(Series.constant(1, trunc), self.delta(trunc))
 
     def closed_triangle(self, n_max: int) -> CoeffTriangle:
-        if self.name == "rising-factorial":
-            return stirling1_triangle(n_max, signed=False)
-        if self.name == "lah":
-            return lah_triangle(n_max, signed=True)
-        if self.name == "abel":
-            return abel_triangle(n_max, self.a)
-        return mittag_leffler_triangle(n_max)
+        return _BY_NAME[self.name].closed_triangle(n_max, *self._params())
 
 
 def family(name: str, a: Optional[RationalLike] = None) -> SequenceFamily:
-    """Look up a family by name (``lah-signed`` is accepted as an alias of ``lah``)."""
-    canonical = _FAMILY_ALIASES.get(name, name)
+    """Look up a family by any of its names (``lah-signed`` is an alias of ``lah``)."""
+    row = _BY_NAME.get(name)
+    canonical = row.names[0] if row is not None else name
     return SequenceFamily(canonical, Fraction(a) if a is not None else None)

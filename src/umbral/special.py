@@ -22,17 +22,21 @@ from .triangles import CoeffTriangle
 # -- Stirling numbers of the first kind ---------------------------------------
 
 
-@lru_cache(maxsize=None)
+_signed_stirling_rows = {0: (1,)}
+
+
 def _signed_stirling_row(n: int) -> tuple:
-    if n == 0:
-        return (1,)
-    prev = _signed_stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else 0
-        right = prev[k] if k <= n - 1 else 0
-        row[k] = left - (n - 1) * right
-    return tuple(row)
+    # s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k), upward from the nearest cached
+    # row; caching only row n keeps one large n to one row of memory
+    row = _signed_stirling_rows.get(n)
+    if row is None:
+        start = max(m for m in _signed_stirling_rows if m < n)
+        row = _signed_stirling_rows[start]
+        for m in range(start + 1, n + 1):
+            row = tuple((row[k - 1] if k else 0) - (m - 1) * (row[k] if k < m else 0)
+                        for k in range(m + 1))
+        _signed_stirling_rows[n] = row
+    return row
 
 
 def stirling1_signed(n: int, k: int) -> Fraction:

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidInputError, InvalidParameterError, OutOfRangeError
 from .polynomials import Polynomial
-from .rationals import RationalLike, format_rational
+from .rationals import RationalLike, align_columns, format_rational
 
 
 class CoeffTriangle:
@@ -94,6 +94,12 @@ class CoeffTriangle:
         for _ in range(m - 1):
             result = result.matmul(self)
         return result
+
+    def plain_lines(self) -> Iterator[str]:
+        """Aligned columns: a ``n\\k`` header, then ``n`` and row n's entries."""
+        header = ["n\\k"] + [str(k) for k in range(self.n_max + 1)]
+        rows = [[str(n)] + [format_rational(c) for c in row] for n, row in enumerate(self._rows)]
+        return align_columns([header] + rows)
 
     def csv_lines(self) -> Iterator[str]:
         yield "n,k,value"

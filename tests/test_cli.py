@@ -205,5 +205,48 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "n,k,value"
 
 
+def test_unwritable_output_is_an_error_not_a_failure(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "verify", "t1", "--n-max", "2", "--m-max", "1",
+                         "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "t1", "--n-max", "2", "--m-max", "1", "--a", "2"),
+    ("verify", "remark", "--n-max", "2", "--m-max", "1", "--a", "2"),
+    ("verify", "t2", "--n-max", "2", "--m-max", "1", "--family", "abel"),
+    ("verify", "xcheck", "--n-max", "2", "--m-max", "1", "--family", "lah", "--a", "2"),
+    ("table", "--family", "lah", "--n-max", "2", "--a", "5"),
+    ("series", "revert", "--coeffs", "0,1", "--alpha", "3"),
+    ("series", "pow", "--coeffs", "1,1", "--alpha", "2", "--inner", "0,1"),
+    ("series", "euler-gf", "--coeffs", "1,1", "--trunc", "3"),
+], ids=" ".join)
+def test_inapplicable_parameter_is_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_results_past_the_int_str_digit_limit(capsys):
+    # (10^3000 - 1)^3 truncated to 3 terms: 3N = 2 9..9 7 and 3N^2 = 2 9..9 4 0..0 3
+    nines = "9" * 3000
+    code, out, err = run(capsys, "series", "pow", "--coeffs", f"1,{nines}",
+                         "--alpha", "3", "--trunc", "3")
+    assert (code, err) == (0, "")
+    assert out == f"1,2{'9' * 2999}7,2{'9' * 2999}4{'0' * 2999}3\n"
+
+
+def test_inputs_past_the_int_str_digit_limit(capsys):
+    digits = "7" * 5000
+    code, out, err = run(capsys, "series", "pow", "--coeffs", f"1,{digits}/3",
+                         "--alpha", f"{digits}/{digits}")
+    assert (code, err) == (0, "")
+    assert out == f"1,{digits}/3\n"
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2

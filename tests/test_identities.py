@@ -257,6 +257,10 @@ def test_verify_validation():
         verify("xcheck", 4, 2)
     with pytest.raises(InvalidParameterError):
         verify("t3", 4, 2, a=0)
+    with pytest.raises(InvalidParameterError, match="takes no parameter a"):
+        verify("t1", 4, 2, a=2)
+    with pytest.raises(InvalidParameterError, match="takes no family"):
+        verify("t2", 4, 2, family_name="abel")
 
 
 def test_report_serialisation_shapes():

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbral import ClassMismatchError, InvalidParameterError, OutOfRangeError, Series
-from umbral.series import SeriesClass
 
 from oracles import brute_compose, classical_bernoulli, conv_inverse, conv_product
 
@@ -18,7 +17,7 @@ def exp_series(trunc: int) -> Series:
     return Series([F(1, math.factorial(k)) for k in range(trunc)])
 
 
-# -- order and classification ---------------------------------------------------
+# -- order ---------------------------------------------------------------------
 
 
 def test_order_of_invertible_series():
@@ -31,13 +30,6 @@ def test_order_of_delta_series():
 
 def test_order_of_zero_series_is_beyond_truncation():
     assert Series.zero(4).order() is None
-
-
-def test_classification_tags():
-    assert Series.from_text("2,1").classify() is SeriesClass.INVERTIBLE
-    assert Series.from_text("0,3").classify() is SeriesClass.DELTA
-    assert Series.from_text("0,0,1").classify() is SeriesClass.OTHER
-    assert Series.zero(3).classify() is SeriesClass.OTHER
 
 
 # -- linear operations ------------------------------------------------------------

@@ -19,7 +19,6 @@ from umbral import (
     Series,
     ShefferPair,
     apply_operator,
-    compositional_power,
     family,
     identity_pair,
     lah_triangle,
@@ -187,32 +186,6 @@ def test_transfer_rejects_constant_terms():
         transfer(CoeffTriangle(rows), Series.t(5), Series.t(5), 1)
 
 
-# -- compositional powers -----------------------------------------------------------------------
-
-
-def test_compositional_power_zero_is_identity():
-    f = family("rising-factorial").delta(6)
-    assert compositional_power(f, 0) == Series.t(6)
-
-
-def test_compositional_power_involution():
-    f = family("lah").delta(8)
-    assert compositional_power(f, 2) == Series.t(8)
-
-
-def test_compositional_power_against_brute_compose():
-    f = family("rising-factorial").delta(5)
-    expected = brute_compose(f.coeffs, f.coeffs, 5)
-    assert compositional_power(f, 2) == Series(expected)
-
-
-def test_compositional_power_rejects_non_delta():
-    with pytest.raises(ClassMismatchError):
-        compositional_power(Series.from_text("1,1"), 2)
-    with pytest.raises(InvalidParameterError):
-        compositional_power(Series.t(4), -1)
-
-
 # -- pair powers -----------------------------------------------------------------------------------
 
 
@@ -220,7 +193,15 @@ def test_pair_power_of_associated_family():
     pair = family("lah").pair(7)
     powered = pair_power(pair, 3)
     assert powered.g == Series.constant(1, 7)
-    assert powered.f == compositional_power(pair.f, 3)
+    f_cubed = pair.f.coeffs
+    for _ in range(2):
+        f_cubed = brute_compose(pair.f.coeffs, f_cubed, 7)
+    assert powered.f == Series(f_cubed)
+
+
+def test_pair_power_of_lah_is_an_involution():
+    # t/(t-1) is its own compositional inverse
+    assert pair_power(family("lah").pair(8), 2).f == Series.t(8)
 
 
 def test_pair_power_one_is_same_pair():

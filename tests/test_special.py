@@ -58,6 +58,12 @@ def test_diagonal_is_one():
         assert stirling1_unsigned(n, n) == 1
 
 
+def test_large_row_is_built_without_recursion():
+    # s(n, 1) = (-1)^(n-1) (n-1)!, far past the interpreter's recursion limit
+    n = 1200
+    assert stirling1_signed(n, 1) == (-1) ** (n - 1) * math.factorial(n - 1)
+
+
 def test_out_of_triangle_indices_are_zero():
     assert stirling1_signed(3, 5) == 0
     assert stirling1_signed(-1, 0) == 0
