@@ -6,6 +6,10 @@ sum over integer compositions of n - k whose terms are built from
 multinomials and higher-order Bernoulli/Euler numbers (right side).
 The verification driver walks a full (n, m, k) grid and reports every
 case with both values; comparison is exact rational equality.
+
+One ``verify`` call builds one left side, the powers 1..m_max of its
+family's closed triangle at n_max, and every case reads its entry from
+that list.  ``t1_lhs`` .. ``remark_lhs`` are uncached point evaluators.
 """
 
 from __future__ import annotations
@@ -13,14 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .errors import InvalidParameterError
 from .rationals import RationalLike, align_columns, format_rational
-from .sheffer import family, umbral_power_gf, umbral_power_matrix
+from .sheffer import family, umbral_power_gf
 from .special import bernoulli_high, compositions, euler_high, multinomial
-from .triangles import CoeffTriangle
 
 T1 = "T1"
 T2 = "T2"
@@ -31,6 +33,9 @@ IDENTITY_IDS = (T1, T2, T3, REMARK, XCHECK)
 
 INTERPRETATIONS = ("literal", "indexed")
 
+# the family whose closed triangle gives each identity's left side
+LHS_FAMILY = {T1: "rising-factorial", T2: "lah", T3: "abel", REMARK: "mittag-leffler"}
+
 
 def _check_grid_point(n: int, k: int, m: int) -> None:
     if n < 1 or m < 1:
@@ -39,9 +44,24 @@ def _check_grid_point(n: int, k: int, m: int) -> None:
         raise InvalidParameterError(f"k={k} outside 1..{n}")
 
 
-@lru_cache(maxsize=None)
-def _power_entry_table(name: str, a: Optional[Fraction], n_top: int, m: int) -> CoeffTriangle:
-    return family(name, a).closed_triangle(n_top).matpow(m)
+def _lhs_point(identity: str, n: int, k: int, m: int, a: Optional[RationalLike] = None) -> Fraction:
+    _check_grid_point(n, k, m)
+    return family(LHS_FAMILY[identity], a).closed_triangle(n).powers(m)[-1].entry(n, k)
+
+
+def _suffix_chain_sum(n: int, k: int, m: int, factor) -> Fraction:
+    """Sum over compositions (k_1 .. k_m) of n - k of
+    multinomial(n-1; k_1..k_m, k-1) * prod_j factor(k_j, n - suffix_j),
+    where suffix_j = k_{j+1} + ... + k_m is the part already consumed."""
+    total = Fraction(0)
+    for parts in compositions(n - k, m):
+        prod = Fraction(1)
+        suffix = 0
+        for j in range(m - 1, -1, -1):
+            prod *= factor(parts[j], n - suffix)
+            suffix += parts[j]
+        total += multinomial(n - 1, parts + (k - 1,)) * prod
+    return total
 
 
 # -- unsigned Stirling identity ------------------------------------------------
@@ -49,8 +69,7 @@ def _power_entry_table(name: str, a: Optional[Fraction], n_top: int, m: int) -> 
 
 def t1_lhs(n: int, k: int, m: int) -> Fraction:
     """(n, k) entry of the m-th matrix power of the unsigned Stirling triangle."""
-    _check_grid_point(n, k, m)
-    return _power_entry_table("rising-factorial", None, n, m).entry(n, k)
+    return _lhs_point(T1, n, k, m)
 
 
 def t1_rhs(n: int, k: int, m: int) -> Fraction:
@@ -62,15 +81,7 @@ def t1_rhs(n: int, k: int, m: int) -> Fraction:
     """
     _check_grid_point(n, k, m)
     sign = -1 if (n - k) % 2 else 1
-    total = Fraction(0)
-    for parts in compositions(n - k, m):
-        prod = Fraction(1)
-        suffix = 0
-        for j in range(m - 1, -1, -1):
-            prod *= bernoulli_high(parts[j], n - suffix)
-            suffix += parts[j]
-        total += multinomial(n - 1, parts + (k - 1,)) * prod
-    return sign * total
+    return sign * _suffix_chain_sum(n, k, m, bernoulli_high)
 
 
 # -- Lah identity ----------------------------------------------------------------
@@ -78,8 +89,7 @@ def t1_rhs(n: int, k: int, m: int) -> Fraction:
 
 def t2_lhs(n: int, k: int, m: int) -> Fraction:
     """(n, k) entry of the m-th matrix power of the signed Lah triangle."""
-    _check_grid_point(n, k, m)
-    return _power_entry_table("lah", None, n, m).entry(n, k)
+    return _lhs_point(T2, n, k, m)
 
 
 def t2_rhs(n: int, k: int, m: int) -> Fraction:
@@ -104,11 +114,7 @@ def t2_rhs(n: int, k: int, m: int) -> Fraction:
 
 def t3_lhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
     """(n, k) entry of the m-th matrix power of the Abel triangle."""
-    _check_grid_point(n, k, m)
-    a = Fraction(a)
-    if a == 0:
-        raise InvalidParameterError("abel parameter must be nonzero")
-    return _power_entry_table("abel", a, n, m).entry(n, k)
+    return _lhs_point(T3, n, k, m, a)
 
 
 def t3_rhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
@@ -117,15 +123,7 @@ def t3_rhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
     a = Fraction(a)
     if a == 0:
         raise InvalidParameterError("abel parameter must be nonzero")
-    total = Fraction(0)
-    for parts in compositions(n - k, m):
-        prod = Fraction(1)
-        suffix = 0
-        for i in range(m - 1, -1, -1):
-            prod *= (-a * (n - suffix)) ** parts[i]
-            suffix += parts[i]
-        total += multinomial(n - 1, parts + (k - 1,)) * prod
-    return total
+    return _suffix_chain_sum(n, k, m, lambda part, order: (-a * order) ** part)
 
 
 # -- Mittag-Leffler identity (both printed readings) -----------------------------------
@@ -133,8 +131,7 @@ def t3_rhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
 
 def remark_lhs(n: int, k: int, m: int) -> Fraction:
     """(n, k) entry of the m-th matrix power of the Mittag-Leffler triangle."""
-    _check_grid_point(n, k, m)
-    return _power_entry_table("mittag-leffler", None, n, m).entry(n, k)
+    return _lhs_point(REMARK, n, k, m)
 
 
 def remark_rhs_terms(n: int, k: int, m: int,
@@ -169,10 +166,7 @@ def remark_rhs_terms(n: int, k: int, m: int,
 
 
 def remark_rhs(n: int, k: int, m: int, interpretation: str) -> Fraction:
-    total = Fraction(0)
-    for _, value in remark_rhs_terms(n, k, m, interpretation):
-        total += value
-    return total
+    return sum((value for _, value in remark_rhs_terms(n, k, m, interpretation)), Fraction(0))
 
 
 # -- reports ------------------------------------------------------------------------
@@ -259,26 +253,23 @@ class IdentityReport:
         yield f"all_equal: {'true' if self.all_equal else 'false'}"
 
 
-def _walk(n_max, m_max, lhs, rhs, low=1, interpretation=None):
-    """Compare ``lhs(n, k, m)`` with ``rhs(n, k, m)`` in (n, m, k) order over
-    low <= k <= n <= n_max, 1 <= m <= m_max.  ``rhs`` returns the value and
-    its per-composition terms, or None; a mismatch keeps them as diagnostics.
+def _walk(n_max, m_max, powers, rhs, low=1, interpretation=None):
+    """Compare entry (n, k) of ``powers[m - 1]`` with ``rhs(n, k, m)`` in
+    (n, m, k) order over low <= k <= n <= n_max, 1 <= m <= m_max.  ``rhs``
+    returns the value and its per-composition terms, or None; a mismatch
+    keeps them as diagnostics.
     """
     cases = []
     for n in range(low, n_max + 1):
         for m in range(1, m_max + 1):
             for k in range(low, n + 1):
-                left = lhs(n, k, m)
+                left = powers[m - 1].entry(n, k)
                 right, terms = rhs(n, k, m)
                 equal = left == right
                 cases.append(IdentityCase(
                     n, m, k, left, right, equal, interpretation,
                     diagnostics=None if equal else terms))
     return cases
-
-
-def _without_terms(rhs):
-    return lambda n, k, m: (rhs(n, k, m), None)
 
 
 def _remark_side(interpretation):
@@ -293,8 +284,9 @@ def verify(identity: str, n_max: int, m_max: int, *,
            family_name: Optional[str] = None) -> IdentityReport:
     """Evaluate one identity on the full (n, m, k) grid and report each case.
 
-    ``a`` applies only to t3 and to xcheck of a family that takes it, and
-    ``family_name`` only to xcheck; passing either elsewhere is an error.
+    ``a`` applies only to t3 (default 1) and to xcheck of a family that takes
+    it, and ``family_name`` only to xcheck; passing either elsewhere is an
+    error.  The left side of every case comes from one list of matrix powers.
     """
     identity = identity.upper()
     if identity not in IDENTITY_IDS:
@@ -307,33 +299,29 @@ def verify(identity: str, n_max: int, m_max: int, *,
         raise InvalidParameterError(f"identity {identity.lower()} takes no parameter a")
 
     params: Dict[str, object] = {"n_max": n_max, "m_max": m_max}
-    if identity == T1:
-        cases = _walk(n_max, m_max, t1_lhs, _without_terms(t1_rhs))
-    elif identity == T2:
-        cases = _walk(n_max, m_max, t2_lhs, _without_terms(t2_rhs))
-    elif identity == T3:
-        a = Fraction(a if a is not None else 1)
-        params["a"] = format_rational(a)
-        cases = _walk(n_max, m_max,
-                      lambda n, k, m: t3_lhs(n, k, m, a),
-                      _without_terms(lambda n, k, m: t3_rhs(n, k, m, a)))
-    elif identity == REMARK:
-        params["interpretations"] = ",".join(INTERPRETATIONS)
-        cases = [case for interpretation in INTERPRETATIONS
-                 for case in _walk(n_max, m_max, remark_lhs, _remark_side(interpretation),
-                                   interpretation=interpretation)]
-    else:
+    if identity == XCHECK:
         if family_name is None:
             raise InvalidParameterError("xcheck needs a family")
         fam = family(family_name, a=a)
         params["family"] = fam.name
-        if fam.a is not None:
-            params["a"] = format_rational(fam.a)
-        closed = fam.closed_triangle(n_max)
+    else:
+        fam = family(LHS_FAMILY[identity], 1 if identity == T3 and a is None else a)
+    if fam.a is not None:
+        params["a"] = format_rational(fam.a)
+    powers = fam.closed_triangle(n_max).powers(m_max)
+
+    # the right side per interpretation (None when the identity has one reading)
+    if identity == REMARK:
+        params["interpretations"] = ",".join(INTERPRETATIONS)
+        sides = {i: _remark_side(i) for i in INTERPRETATIONS}
+    elif identity == XCHECK:
         pair = fam.pair(n_max + 1)
-        matrix = {m: umbral_power_matrix(closed, m) for m in range(1, m_max + 1)}
-        gf = {m: umbral_power_gf(pair, m, n_max) for m in range(1, m_max + 1)}
-        cases = _walk(n_max, m_max,
-                      lambda n, k, m: matrix[m].entry(n, k),
-                      _without_terms(lambda n, k, m: gf[m].entry(n, k)), low=0)
+        gf = [umbral_power_gf(pair, m, n_max) for m in range(1, m_max + 1)]
+        sides = {None: lambda n, k, m: (gf[m - 1].entry(n, k), None)}
+    else:
+        rhs = {T1: t1_rhs, T2: t2_rhs, T3: lambda n, k, m: t3_rhs(n, k, m, fam.a)}[identity]
+        sides = {None: lambda n, k, m: (rhs(n, k, m), None)}
+    low = 0 if identity == XCHECK else 1
+    cases = [case for interpretation, side in sides.items()
+             for case in _walk(n_max, m_max, powers, side, low, interpretation)]
     return IdentityReport(identity, params, tuple(cases))

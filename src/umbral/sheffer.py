@@ -233,7 +233,7 @@ def umbral_compose(q: CoeffTriangle, p: CoeffTriangle) -> CoeffTriangle:
 
 def umbral_power_matrix(triangle: CoeffTriangle, m: int) -> CoeffTriangle:
     """m-th umbral power through the coefficient matrix, m >= 1."""
-    return triangle.matpow(m)
+    return triangle.powers(m)[-1]
 
 
 def umbral_power_gf(pair: ShefferPair, m: int, n_max: int) -> CoeffTriangle:

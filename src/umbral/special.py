@@ -218,12 +218,19 @@ def compositions(total: int, parts: int) -> Iterator[tuple]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple]:
+    # lexicographic successor: one unit of the last nonzero entry q moves to
+    # entry q - 1 and the rest of it to the final entry; q == 0 ends the list
     if parts == 0:
         yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    current = [0] * (parts - 1) + [total]
+    q = parts - 1 if total else 0
+    while True:
+        yield tuple(current)
+        if q == 0:
+            return
+        rest = current[q] - 1
+        current[q] = 0
+        current[q - 1] += 1
+        current[-1] = rest
+        q = parts - 1 if rest else q - 1

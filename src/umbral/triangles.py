@@ -3,7 +3,9 @@
 Row ``n`` holds the coefficients ``s_{n,0} .. s_{n,n}`` of the n-th
 polynomial; entries above the diagonal are implicitly zero.  Umbral
 composition of sequences is matrix multiplication of these triangles,
-so the class carries exact matmul / matpow alongside row access.
+so the class carries exact matmul and ``powers`` (P^1 .. P^m in one
+chain of matmuls) alongside row access.  Rows 0..n of a power depend only
+on rows 0..n of the triangle, so one power list serves every smaller n.
 """
 
 from __future__ import annotations
@@ -86,13 +88,14 @@ class CoeffTriangle:
 
     __matmul__ = matmul
 
-    def matpow(self, m: int) -> "CoeffTriangle":
-        """m-th matrix power, m >= 1 (the identity is available explicitly)."""
-        if m < 1:
+    def powers(self, m_max: int) -> list:
+        """The matrix powers P^1 .. P^m_max in order, from m_max - 1 matmuls
+        (m_max >= 1; the identity is available explicitly)."""
+        if m_max < 1:
             raise InvalidParameterError("matrix power needs m >= 1")
-        result = self
-        for _ in range(m - 1):
-            result = result.matmul(self)
+        result = [self]
+        for _ in range(m_max - 1):
+            result.append(result[-1].matmul(self))
         return result
 
     def plain_lines(self) -> Iterator[str]:

@@ -11,6 +11,7 @@ import pytest
 from umbral import (
     InvalidParameterError,
     abel_triangle,
+    family,
     lah,
     mittag_leffler_triangle,
     multinomial,
@@ -24,6 +25,7 @@ from umbral import (
     t2_rhs,
     t3_lhs,
     t3_rhs,
+    umbral_power_matrix,
     verify,
 )
 from umbral.identities import INTERPRETATIONS
@@ -244,6 +246,26 @@ def test_verify_xcheck_families():
                     ("abel", F(1)), ("mittag-leffler", None)):
         report = verify("xcheck", 6, 3, family_name=name, a=a)
         assert report.all_equal, name
+
+
+def test_verify_lhs_equals_point_evaluators():
+    # verify reads each left side from one power list built at n_max; the
+    # point evaluators build the triangle of size n for every case
+    for identity, point, extra in (("t1", t1_lhs, ()), ("t2", t2_lhs, ()),
+                                   ("t3", t3_lhs, (F(-3, 2),)), ("remark", remark_lhs, ())):
+        for case in verify(identity, 5, 3, a=extra[0] if extra else None).cases:
+            assert case.lhs == point(case.n, case.k, case.m, *extra), (identity, case)
+    for name, a in (("rising-factorial", None), ("lah-signed", None),
+                    ("abel", F(2, 3)), ("mittag-leffler", None)):
+        fam = family(name, a)
+        for case in verify("xcheck", 5, 3, family_name=name, a=a).cases:
+            point = umbral_power_matrix(fam.closed_triangle(case.n), case.m)
+            assert case.lhs == point.entry(case.n, case.k), (name, case)
+
+
+def test_identities_at_thousands_of_powers():
+    # one composition of 0 into m parts: no recursion depth grows with m
+    assert t1_rhs(1, 1, 1100) == t1_lhs(1, 1, 1100) == 1
 
 
 def test_verify_validation():

@@ -32,6 +32,7 @@ from umbral import (
     umbral_power_matrix,
     verify_orthogonality,
 )
+from umbral.sheffer import FAMILIES
 
 from oracles import brute_compose, conv_inverse
 
@@ -245,6 +246,17 @@ def test_umbral_power_matrix_basics():
     assert umbral_power_matrix(CoeffTriangle.identity(4), 3) == CoeffTriangle.identity(4)
     with pytest.raises(InvalidParameterError):
         umbral_power_matrix(tri, 0)
+
+
+def test_power_leading_block_is_power_of_leading_block():
+    # verify reads every n <= n_max from one power list built at n_max
+    for row in FAMILIES:
+        params = (F(2, 3),) if row.takes_a else ()
+        big = row.closed_triangle(7, *params).powers(3)
+        for n in range(8):
+            small = row.closed_triangle(n, *params).powers(3)
+            for m in (1, 2, 3):
+                assert big[m - 1].rows[:n + 1] == small[m - 1].rows, (row.table, n, m)
 
 
 def test_umbral_compose_requires_matching_sizes():

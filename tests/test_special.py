@@ -3,6 +3,7 @@ recurrences and convolution laws."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -275,6 +276,11 @@ def test_compositions_exhaustive_listings():
     assert list(compositions(0, 3)) == [(0, 0, 0)]
     assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(compositions(0, 0)) == [()]
+    for total in range(5):
+        for parts in range(1, 5):
+            brute = [c for c in itertools.product(range(total + 1), repeat=parts)
+                     if sum(c) == total]
+            assert list(compositions(total, parts)) == brute
 
 
 def test_compositions_count_is_stars_and_bars():
@@ -283,6 +289,16 @@ def test_compositions_count_is_stars_and_bars():
     assert len(set(listed)) == 21
     assert all(sum(c) == 5 for c in listed)
     assert listed == sorted(listed)
+
+
+def test_compositions_with_thousands_of_parts():
+    # the enumeration is iterative: no recursion depth grows with the parts
+    count, previous = 0, None
+    for c in compositions(1, 3000):
+        assert len(c) == 3000 and sum(c) == 1 and c[2999 - count] == 1
+        assert previous is None or previous < c
+        count, previous = count + 1, c
+    assert count == 3000
 
 
 def test_compositions_validation():
@@ -298,6 +314,18 @@ def test_compositions_validation():
 def test_triangle_shape_validation():
     with pytest.raises(Exception):
         CoeffTriangle([[1], [0, 1, 0]])
+
+
+def test_triangle_powers_are_repeated_matmuls():
+    tri = mittag_leffler_triangle(5)
+    powers = tri.powers(4)
+    assert len(powers) == 4 and powers[0] == tri
+    expected = tri
+    for power in powers[1:]:
+        expected = expected.matmul(tri)
+        assert power == expected
+    with pytest.raises(InvalidParameterError):
+        tri.powers(0)
 
 
 def test_triangle_csv_lines():
