@@ -7,7 +7,8 @@ those sequences as coefficient triangles, applies series as differential
 operators and linear functionals, transfers sequences between delta
 series, and realises m-th powers under umbral composition through two
 independent routes: matrix powers of the triangle and the powered pair
-``(prod g(f^i), f^m)``.
+``(prod g(f^i), f^m)``.  Sequences, the polynomials functionals act on
+and operator images are all coefficient rows, lowest degree first.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import (
     ClassMismatchError,
@@ -23,7 +24,6 @@ from .errors import (
     InvalidParameterError,
     OutOfRangeError,
 )
-from .polynomials import Polynomial
 from .rationals import RationalLike
 from .series import Series
 from .special import abel_triangle, lah_triangle, mittag_leffler_triangle, stirling1_triangle
@@ -72,40 +72,41 @@ class ShefferPair:
         return f"ShefferPair({self.describe()!r})"
 
 
-def identity_pair(trunc: int) -> ShefferPair:
-    """The pair (1, t), whose sequence is x^n."""
-    return ShefferPair(Series.constant(1, trunc), Series.t(trunc))
-
-
 # -- functional and operator actions -------------------------------------------
 
 
-def pairing(functional: Series, p: Polynomial) -> Fraction:
-    """Apply the linear functional of a series to a polynomial.
+def _check_degree(p: Sequence[RationalLike], trunc: int) -> None:
+    degree = max((n for n, coeff in enumerate(p) if coeff), default=-1)
+    if degree >= trunc:
+        raise OutOfRangeError(f"polynomial degree {degree} reaches past truncation {trunc}")
+
+
+def pairing(functional: Series, p: Sequence[RationalLike]) -> Fraction:
+    """Apply the linear functional of a series to a polynomial ``p``.
 
     The value is ``sum_n p_n * n! * c_n``; in particular t^k pairs with
     x^n to ``n! delta_{n,k}``.
     """
-    if p.degree() >= functional.trunc:
-        raise OutOfRangeError(
-            f"polynomial degree {p.degree()} reaches past truncation {functional.trunc}")
+    _check_degree(p, functional.trunc)
     acc = Fraction(0)
-    for n, coeff in enumerate(p.coeffs):
+    for n, coeff in enumerate(p):
         if coeff:
             acc += coeff * functional.coeffs[n] * math.factorial(n)
     return acc
 
 
-def apply_operator(h: Series, p: Polynomial) -> Polynomial:
-    """Act on a polynomial with ``sum_k c_k (d/dx)^k`` (ordinary coefficients)."""
-    out = Polynomial.zero()
-    current = p
-    for k in range(min(h.trunc, p.degree() + 1)):
-        c = h.coeffs[k]
-        if c:
-            out = out + current * c
-        current = current.derivative()
-    return out
+def apply_operator(h: Series, p: Sequence[RationalLike]) -> tuple:
+    """Act on a polynomial ``p`` with ``sum_k c_k (d/dx)^k`` (ordinary coefficients).
+
+    Entry j of the result, which has ``len(p)`` entries, is
+    ``sum_k c_k (j+k)!/j! p_{j+k}``.
+    """
+    _check_degree(p, h.trunc)
+    c = h.coeffs
+    return tuple(
+        sum((c[k] * math.perm(j + k, k) * p[j + k] for k in range(len(p) - j) if p[j + k]),
+            Fraction(0))
+        for j in range(len(p)))
 
 
 # -- sequence generation ----------------------------------------------------------
@@ -172,9 +173,9 @@ def verify_orthogonality(pair: ShefferPair, triangle: CoeffTriangle, n_max: int)
         power = power * pair.f
     cases = []
     for n in range(n_max + 1):
-        poly = triangle.row_polynomial(n)
+        row = triangle.row(n)
         for k in range(n_max + 1):
-            value = pairing(functionals[k], poly)
+            value = pairing(functionals[k], row)
             expected = Fraction(math.factorial(n)) if n == k else Fraction(0)
             cases.append(OrthogonalityCase(n, k, value, expected, value == expected))
     return OrthogonalityReport(tuple(cases))
@@ -199,13 +200,11 @@ def transfer(p_triangle: CoeffTriangle, f: Series, g: Series, n_max: int) -> Coe
             raise InvalidInputError(
                 f"source row {n} has a nonzero constant term; not an associated sequence")
     base = Series(f.coeffs[1:]) * Series(g.coeffs[1:]).inv()
-    rows = [list(p_triangle.row(0))]
+    rows = [p_triangle.row(0)]
     ratio = Series.constant(1, trunc - 1)
     for n in range(1, n_max + 1):
         ratio = ratio * base
-        reduced = p_triangle.row_polynomial(n).div_x()
-        image = apply_operator(ratio, reduced).times_x()
-        rows.append(list(image.padded(n + 1)))
+        rows.append((0,) + apply_operator(ratio, p_triangle.row(n)[1:]))
     return CoeffTriangle(rows)
 
 
@@ -215,8 +214,7 @@ def transfer(p_triangle: CoeffTriangle, f: Series, g: Series, n_max: int) -> Coe
 def pair_power(pair: ShefferPair, m: int) -> ShefferPair:
     """The pair of the m-th umbral power: ``(prod_{i<m} g(f^i), f^m)``, m >= 1."""
     if m < 1:
-        raise InvalidParameterError(
-            "pair power needs m >= 1; the m = 0 pair is identity_pair(trunc)")
+        raise InvalidParameterError("pair power needs m >= 1")
     g_total = pair.g
     current = Series.t(pair.trunc)
     for _ in range(m - 1):

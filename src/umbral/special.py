@@ -2,8 +2,8 @@
 
 Covers Stirling numbers of the first kind, Lah numbers, higher-order
 Bernoulli and Euler numbers (any rational order, including negative),
-falling/rising factorials, Abel and Mittag-Leffler coefficient
-triangles, multinomial coefficients and composition enumeration.
+Abel and Mittag-Leffler coefficient triangles, multinomial coefficients
+and composition enumeration.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import InvalidParameterError
-from .polynomials import Polynomial
 from .rationals import RationalLike
 from .series import Series
 from .triangles import CoeffTriangle
@@ -54,29 +53,6 @@ def stirling1_unsigned(n: int, k: int) -> Fraction:
 def stirling1_triangle(n_max: int, signed: bool = False) -> CoeffTriangle:
     fn = stirling1_signed if signed else stirling1_unsigned
     return CoeffTriangle.from_entries(n_max, fn)
-
-
-# -- factorial polynomials -----------------------------------------------------
-
-
-def falling_factorial(n: int) -> Polynomial:
-    """The product x(x-1)...(x-n+1); the empty product for n = 0."""
-    if n < 0:
-        raise InvalidParameterError("falling factorial needs n >= 0")
-    result = Polynomial([1])
-    for i in range(n):
-        result = result * Polynomial([-i, 1])
-    return result
-
-
-def rising_factorial(n: int) -> Polynomial:
-    """The product x(x+1)...(x+n-1); the empty product for n = 0."""
-    if n < 0:
-        raise InvalidParameterError("rising factorial needs n >= 0")
-    result = Polynomial([1])
-    for i in range(n):
-        result = result * Polynomial([i, 1])
-    return result
 
 
 # -- Lah numbers ----------------------------------------------------------------

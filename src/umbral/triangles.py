@@ -1,7 +1,8 @@
 """Lower-triangular coefficient matrices of polynomial sequences.
 
 Row ``n`` holds the coefficients ``s_{n,0} .. s_{n,n}`` of the n-th
-polynomial; entries above the diagonal are implicitly zero.  Umbral
+polynomial, lowest degree first, and is that polynomial wherever one is
+needed; entries above the diagonal are implicitly zero.  Umbral
 composition of sequences is matrix multiplication of these triangles,
 so the class carries exact matmul and ``powers`` (P^1 .. P^m in one
 chain of matmuls) alongside row access.  Rows 0..n of a power depend only
@@ -14,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidInputError, InvalidParameterError, OutOfRangeError
-from .polynomials import Polynomial
 from .rationals import RationalLike, align_columns, format_rational
 
 
@@ -61,9 +61,6 @@ class CoeffTriangle:
         if k < 0 or k > n:
             return Fraction(0)
         return self._rows[n][k]
-
-    def row_polynomial(self, n: int) -> Polynomial:
-        return Polynomial(self.row(n))
 
     def matmul(self, other: "CoeffTriangle") -> "CoeffTriangle":
         """Triangle product ``result[n][j] = sum_k self[n][k] * other[k][j]``."""

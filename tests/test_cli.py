@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from umbral.cli import main
+from umbral import format_rational, parse_rational
+from umbral.cli import IDENTITIES, SERIES_OPS, main
+from umbral.sheffer import FAMILIES
 
 
 def run(capsys, *argv):
@@ -250,3 +257,89 @@ def test_inputs_past_the_int_str_digit_limit(capsys):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
+
+
+# -- properties at the boundary --------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+HUGE = 10 ** 5000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(), st.integers(-HUGE, HUGE)),
+       st.one_of(st.integers(1, 10 ** 6), st.integers(1, HUGE)))
+def test_rational_text_round_trip(num, den):
+    x = Fraction(num, den)
+    with unlimited_int_digits():
+        assert parse_rational(format_rational(x)) == x
+
+
+# about one in six rationals has a zero denominator and one in six is malformed
+WELL_FORMED = [str(p) for p in range(-4, 5)] + [f"{p}/{q}" for p in range(-4, 5) for q in (1, 2, 3)]
+RATIONAL_TEXT = st.sampled_from(
+    WELL_FORMED + [f"{p}/0" for p in range(-4, 5)]
+    + ["", "1/", "/2", "1.5", "x", "1/-2", "--1", "+3", "1/2/3"])
+SERIES_TEXT = st.one_of(st.lists(st.sampled_from(WELL_FORMED), min_size=1, max_size=5),
+                        st.lists(RATIONAL_TEXT, min_size=1, max_size=5),
+                        st.sampled_from([[""], ["", ""], ["0", "", "1"], [" 1"]])).map(",".join)
+
+
+def int_text(low, high):
+    return st.sampled_from([str(i) for i in range(low, high + 1)] + ["x"])
+
+
+def flag(name, values, optional=True):
+    """``name`` and one drawn value, or when ``optional`` possibly nothing.
+    Only the ``name=value`` form passes a value that starts with ``-``."""
+    given_flag = st.builds(lambda joined, v: [f"{name}={v}"] if joined else [name, v],
+                           st.booleans(), values)
+    return st.one_of(st.just([]), given_flag) if optional else given_flag
+
+
+def argv_of(*parts):
+    return st.tuples(*parts).map(lambda lists: [a for part in lists for a in part])
+
+
+FAMILY_TEXT = st.sampled_from(
+    [row.table for row in FAMILIES] + [n for row in FAMILIES for n in row.names] + ["nope"])
+FORMAT_TEXT = st.sampled_from(["plain", "csv", "json"])
+ARGV = st.one_of(
+    argv_of(st.just(["table"]), flag("--family", FAMILY_TEXT, optional=False),
+            flag("--n-max", int_text(-1, 5), optional=False),
+            flag("--a", RATIONAL_TEXT), flag("--format", FORMAT_TEXT)),
+    argv_of(st.just(["series"]), st.sampled_from(SERIES_OPS).map(lambda op: [op]),
+            flag("--coeffs", SERIES_TEXT), flag("--inner", SERIES_TEXT),
+            flag("--alpha", RATIONAL_TEXT), flag("--trunc", int_text(-1, 10))),
+    argv_of(st.just(["verify"]), st.sampled_from(IDENTITIES).map(lambda i: [i]),
+            flag("--n-max", int_text(-1, 5), optional=False),
+            flag("--m-max", int_text(-1, 3), optional=False),
+            flag("--a", RATIONAL_TEXT), flag("--family", FAMILY_TEXT),
+            flag("--format", FORMAT_TEXT)),
+    st.sampled_from([[], ["bogus"], ["--help"], ["table", "--n-max", "2"],
+                     ["table", "--family", "lah", "--n-max", "2", "--format", "xml"],
+                     ["series", "bogus"], ["verify", "t9", "--n-max", "2", "--m-max", "1"],
+                     ["verify", "t1", "--n-max", "2"]]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    # an exception escaping main fails the test: no input may end in a traceback
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert code != 1 or argv[0] == "verify"

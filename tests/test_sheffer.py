@@ -15,12 +15,10 @@ from umbral import (
     InvalidInputError,
     InvalidParameterError,
     OutOfRangeError,
-    Polynomial,
     Series,
     ShefferPair,
     apply_operator,
     family,
-    identity_pair,
     lah_triangle,
     pair_power,
     pairing,
@@ -39,6 +37,15 @@ from oracles import brute_compose, conv_inverse
 
 def exp_series(trunc):
     return Series([F(1, math.factorial(k)) for k in range(trunc)])
+
+
+def identity_pair(trunc):
+    """The pair (1, t), whose sequence is x^n."""
+    return ShefferPair(Series.constant(1, trunc), Series.t(trunc))
+
+
+def monomial(n):
+    return (0,) * n + (1,)
 
 
 # -- pair construction -----------------------------------------------------------
@@ -65,42 +72,51 @@ def test_pairing_monomials_gives_factorial_delta():
         functional = Series([0] * k + [1], trunc=6)
         for n in range(5):
             expected = math.factorial(n) if n == k else 0
-            assert pairing(functional, Polynomial.monomial(n)) == expected
+            assert pairing(functional, monomial(n)) == expected
 
 
 def test_pairing_exp_reads_egf_coefficient():
-    assert pairing(exp_series(6), Polynomial.monomial(2)) == 1
+    assert pairing(exp_series(6), monomial(2)) == 1
 
 
 def test_pairing_bernoulli_functional():
     base = [F(1, math.factorial(k + 1)) for k in range(6)]
     functional = Series(base).inv()
     assert conv_inverse(base, 2)[1] == F(-1, 2)
-    assert pairing(functional, Polynomial.monomial(1)) == F(-1, 2)
+    assert pairing(functional, monomial(1)) == F(-1, 2)
 
 
 def test_pairing_degree_bound():
     with pytest.raises(OutOfRangeError):
-        pairing(Series.t(3), Polynomial.monomial(3))
+        pairing(Series.t(3), monomial(3))
 
 
 # -- operator action ------------------------------------------------------------------
 
 
 def test_operator_t_differentiates():
-    assert apply_operator(Series.t(5), Polynomial.monomial(3)) == Polynomial([0, 0, 3])
+    assert apply_operator(Series.t(5), monomial(3)) == (0, 0, 3, 0)
 
 
 def test_operator_one_is_identity():
-    p = Polynomial([1, F(1, 2), 0, 5])
+    p = (1, F(1, 2), 0, 5)
     assert apply_operator(Series.constant(1, 6), p) == p
+
+
+def test_operator_degree_bound():
+    # (1 + d/dx) x^3 = x^3 + 3x^2 needs c_0..c_3; "1,1" leaves c_2 and c_3 unknown
+    assert apply_operator(Series.from_text("1,1", trunc=4), monomial(3)) == (0, 0, 3, 1)
+    with pytest.raises(OutOfRangeError):
+        apply_operator(Series.from_text("1,1"), monomial(3))
+    # trailing zeros are not degree: (1 + d/dx)(1 + 2x) = 3 + 2x
+    assert apply_operator(Series.from_text("1,1"), (1, 2, 0, 0)) == (3, 2, 0, 0)
 
 
 def test_operator_squared_bernoulli_shift():
     # (t/(1-e^{-t}))^2 sends x to x + 1
     base = Series([F(0)] + [F(-((-1) ** k), math.factorial(k)) for k in range(1, 6)])
     op = (Series(base.coeffs[1:]).inv()).int_pow(2)
-    assert apply_operator(op, Polynomial.monomial(1)) == Polynomial([1, 1])
+    assert apply_operator(op, monomial(1)) == (1, 1)
 
 
 # -- triangle generation -----------------------------------------------------------------

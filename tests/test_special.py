@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from umbral import (
     CoeffTriangle,
     InvalidParameterError,
-    Polynomial,
     Series,
     abel_triangle,
     bernoulli_high,
@@ -21,12 +20,10 @@ from umbral import (
     compositions,
     euler_high,
     euler_series,
-    falling_factorial,
     lah,
     lah_triangle,
     mittag_leffler_triangle,
     multinomial,
-    rising_factorial,
     stirling1_signed,
     stirling1_triangle,
     stirling1_unsigned,
@@ -71,16 +68,26 @@ def test_out_of_triangle_indices_are_zero():
     assert stirling1_unsigned(2, -1) == 0
 
 
+def linear_factor_product(roots):
+    """Coefficients of prod (x - r) over ``roots``, lowest degree first."""
+    out = [F(1)]
+    for r in roots:
+        out = poly_product(out, [-r, 1])
+    return out
+
+
 @pytest.mark.parametrize("n", range(16))
 def test_signed_triangle_matches_falling_factorial(n):
-    expected = falling_factorial(n)
-    assert Polynomial([stirling1_signed(n, k) for k in range(n + 1)]) == expected
+    # x(x-1)...(x-n+1)
+    expected = linear_factor_product(range(n))
+    assert [stirling1_signed(n, k) for k in range(n + 1)] == expected
 
 
 @pytest.mark.parametrize("n", range(16))
 def test_unsigned_triangle_matches_rising_factorial(n):
-    expected = rising_factorial(n)
-    assert Polynomial([stirling1_unsigned(n, k) for k in range(n + 1)]) == expected
+    # x(x+1)...(x+n-1)
+    expected = linear_factor_product(range(0, -n, -1))
+    assert [stirling1_unsigned(n, k) for k in range(n + 1)] == expected
 
 
 def test_stirling_triangle_rows():
@@ -94,10 +101,11 @@ def test_stirling_triangle_rows():
 
 
 def test_factorials_at_zero_and_small_orders():
-    assert falling_factorial(0) == Polynomial([1])
-    assert rising_factorial(0) == Polynomial([1])
-    assert falling_factorial(2) == Polynomial([0, -1, 1])
-    assert rising_factorial(3) == Polynomial([0, 2, 3, 1])
+    # the empty product is 1; x(x-1) and x(x+1)(x+2) as Stirling rows
+    assert linear_factor_product([]) == [1]
+    assert [stirling1_signed(0, 0)] == [stirling1_unsigned(0, 0)] == [1]
+    assert [stirling1_signed(2, k) for k in range(3)] == [0, -1, 1]
+    assert [stirling1_unsigned(3, k) for k in range(4)] == [0, 2, 3, 1]
 
 
 # -- Lah numbers ---------------------------------------------------------------------
