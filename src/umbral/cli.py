@@ -31,6 +31,8 @@ SERIES_OPTIONS = {"coeffs": ("revert", "compose", "pow"), "inner": ("compose",),
                   "alpha": ("pow", "bernoulli-gf", "euler-gf")}
 IDENTITIES = ("t1", "t2", "t3", "remark", "xcheck")
 FORMATS = ("plain", "csv", "json")
+# options whose value may start with "-" and still not be a plain number
+SIGNED_VALUE_OPTIONS = ("--a", "--coeffs", "--inner", "--alpha")
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -38,6 +40,27 @@ def _rational_arg(text: str) -> Fraction:
         return parse_rational(text)
     except UmbralError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _join_signed_values(argv: List[str]) -> List[str]:
+    """Rewrite ``--a -1/2`` as ``--a=-1/2``.
+
+    argparse takes a separate word such as ``-1/2`` or ``-1,1`` for an
+    option, so it would reject the value.  No option of this CLI starts with
+    ``-`` and a digit, so such a word after a value option is its value.
+    """
+    out: List[str] = []
+    words = iter(argv)
+    for word in words:
+        if word == "--":
+            out.append(word)
+            out.extend(words)
+            break
+        if out and out[-1] in SIGNED_VALUE_OPTIONS and word[:1] == "-" and word[1:2].isdigit():
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,7 +199,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
