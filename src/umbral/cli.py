@@ -45,19 +45,14 @@ def _rational_arg(text: str) -> Fraction:
 def _join_signed_values(argv: List[str]) -> List[str]:
     """Rewrite ``--a -1/2`` as ``--a=-1/2``.
 
-    argparse takes a separate word such as ``-1/2`` or ``-1,1`` for an
-    option, so it would reject the value.  No option of this CLI starts with
-    ``-`` and a digit, so such a word after a value option is its value.
+    argparse reads a separate word such as ``-1/2`` or ``-1,1`` as an option
+    and rejects the value.  No option of this CLI starts with ``-`` and a
+    digit, so such a word after a value option is that option's value.
     """
     out: List[str] = []
-    words = iter(argv)
-    for word in words:
-        if word == "--":
-            out.append(word)
-            out.extend(words)
-            break
+    for word in argv:
         if out and out[-1] in SIGNED_VALUE_OPTIONS and word[:1] == "-" and word[1:2].isdigit():
-            out[-1] = f"{out[-1]}={word}"
+            out[-1] += "=" + word
         else:
             out.append(word)
     return out

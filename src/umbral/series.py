@@ -6,6 +6,12 @@ Everything is exact rational arithmetic.  Binary operations truncate to the
 shorter operand and no operation ever extends precision, so a coefficient
 that is present is always correct.
 
+Composition is Brent–Kung baby-step/giant-step (about ``2 sqrt(n)``
+products) and reversion is Newton iteration on ``f(h) = t`` with one
+composition per doubling of precision (Brent & Kung, "Fast algorithms for
+manipulating formal power series", J. ACM 25(4), 1978).  Both are exact, so
+``f.compose(f.revert()) == t`` holds at every retained truncation.
+
 Exponential-generating-function coefficients ``a_n = n! * c_n`` are exposed
 only through :meth:`Series.egf_coefficient`; all internal arithmetic stays
 on ordinary coefficients.
@@ -287,13 +293,13 @@ class Series:
             # this step overwrites with the correction
             padded = Series(h, trunc=prec)
             fh = self.compose(padded)
-            # f(h) - t vanishes below old, so the correction h -= (f(h) - t) / f'(h)
-            # only touches coefficients old .. prec-1
+            # f(h) - t vanishes below old, so the correction (f(h) - t) / f'(h),
+            # with f'(h) = f(h)' / h', only touches coefficients old .. prec-1
             m = prec - old
             err = Series(fh._coeffs[old:])
-            slope = fh.derivative().truncated(m)
             dh = padded.derivative().truncated(m)
-            h.extend(-c for c in (err * dh * slope.inv())._coeffs)
+            dfh = fh.derivative().truncated(m)
+            h.extend(-c for c in (err * dh * dfh.inv())._coeffs)
         return Series(h)
 
     # -- text form and dunders --------------------------------------------

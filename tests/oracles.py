@@ -52,6 +52,20 @@ def brute_compose(outer, inner, n_terms):
     return result
 
 
+def lagrange_revert(f, n_terms):
+    """Compositional inverse of a delta series f (f[0] = 0, f[1] != 0) by
+    Lagrange inversion: [t^m] fbar = [t^(m-1)] (t/f)^m / m, one power of
+    t/f per coefficient."""
+    assert Fraction(f[0]) == 0 and Fraction(f[1]) != 0
+    u = conv_inverse(f[1:], n_terms - 1)
+    out = [Fraction(0)]
+    power = [Fraction(1)]
+    for m in range(1, n_terms):
+        power = conv_product(power, u, n_terms - 1)
+        out.append(power[m - 1] / m)
+    return out
+
+
 def classical_bernoulli(n_top):
     """B_0..B_n via the recurrence sum_{j<=m} C(m+1, j) B_j = 0 (B_1 = -1/2)."""
     values = [Fraction(1)]

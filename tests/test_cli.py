@@ -191,6 +191,35 @@ def test_verify_rejects_bad_ranges(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "--family", "abel", "--n-max", "3", "--a", "-1/2"),
+    ("verify", "t3", "--n-max", "3", "--m-max", "2", "--a", "-3/2"),
+    ("verify", "xcheck", "--n-max", "3", "--m-max", "2", "--family", "abel", "--a", "-2/3"),
+    ("series", "pow", "--coeffs", "-1,1", "--alpha", "2"),
+    ("series", "pow", "--coeffs", "1,1", "--alpha", "-2/3", "--trunc", "4"),
+    ("series", "compose", "--coeffs", "-1/2,1,3", "--inner", "0,1,-1"),
+    ("series", "compose", "--coeffs", "1,2,3", "--inner", "-0,1,-1"),
+    ("series", "bernoulli-gf", "--alpha", "-1/2", "--trunc", "4"),
+    ("series", "revert", "--coeffs", "-1,1"),  # a parameter error in both forms
+], ids=" ".join)
+def test_signed_values_as_separate_words(argv, capsys):
+    # the value after the last flag starts with "-" and is not a plain number;
+    # "--flag value" must mean exactly what "--flag=value" means
+    i = max(j for j, word in enumerate(argv) if word.startswith("-") and word[1:2].isdigit())
+    joined = argv[:i - 1] + (f"{argv[i - 1]}={argv[i]}",) + argv[i + 1:]
+    result = run(capsys, *argv)
+    assert result == run(capsys, *joined)
+    assert result[0] == (2 if argv[1] == "revert" else 0)
+
+
+def test_negative_count_is_still_a_parameter_error(capsys):
+    for argv in (("table", "--family", "lah", "--n-max", "-1"),
+                 ("series", "revert", "--coeffs", "0,1", "--trunc", "-2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
 # -- shared behaviour -----------------------------------------------------------------------------
 
 
@@ -302,8 +331,8 @@ def int_text(low, high):
 
 
 def flag(name, values, optional=True):
-    """``name`` and one drawn value, or when ``optional`` possibly nothing.
-    Only the ``name=value`` form passes a value that starts with ``-``."""
+    """``name`` and one drawn value, as one ``name=value`` word or as two
+    words, or when ``optional`` possibly nothing."""
     given_flag = st.builds(lambda joined, v: [f"{name}={v}"] if joined else [name, v],
                            st.booleans(), values)
     return st.one_of(st.just([]), given_flag) if optional else given_flag

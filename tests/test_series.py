@@ -6,11 +6,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from umbral import ClassMismatchError, InvalidParameterError, OutOfRangeError, Series
 
-from oracles import brute_compose, classical_bernoulli, conv_inverse, conv_product
+from oracles import (brute_compose, classical_bernoulli, conv_inverse, conv_product,
+                     lagrange_revert)
 
 
 def exp_series(trunc: int) -> Series:
@@ -372,6 +373,57 @@ def test_revert_round_trip(lead, tail):
     t = Series.t(f.trunc)
     assert f.compose(fbar) == t
     assert fbar.compose(f) == t
+
+
+# -- exactness against the naive oracles -------------------------------------------------------------
+# compose and revert are exact, so equality with an independent algorithm on
+# random inputs is a complete check of every retained coefficient
+
+
+def inner_series(trunc, order, lead, tail):
+    """An inner series of the given order (None: every coefficient zero)."""
+    if order is None:
+        return Series.zero(trunc)
+    return Series([F(0)] * order + [lead] + tail, trunc=trunc)
+
+
+def coeff_lists(low, high):
+    """A list of drawn coefficients whose length is uniform in low..high."""
+    return st.integers(low, high).flatmap(lambda n: st.lists(coeff, min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeff_lists(1, 40),
+    st.integers(1, 40),
+    st.sampled_from([1, 1, 2, 3, None]),
+    st.sampled_from(NONZERO_POOL),
+    coeff_lists(0, 40),
+)
+@example([F(2)], 1, 1, F(1), [])  # n = 1 and n = 2: a single block
+@example([F(2), F(3)], 2, 1, F(1), [])
+def test_compose_matches_brute_force(outer, inner_trunc, order, lead, tail):
+    f = Series(outer)
+    g = inner_series(inner_trunc, order, lead, tail)
+    n = min(f.trunc, g.trunc)
+    assert f.compose(g).coeffs == tuple(brute_compose(f.coeffs, g.coeffs, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(DELTA_LEAD_POOL), coeff_lists(0, 38))
+def test_revert_matches_lagrange_inversion(lead, tail):
+    f = Series([F(0), lead] + tail)
+    assert f.revert().coeffs == tuple(lagrange_revert(f.coeffs, f.trunc))
+
+
+@pytest.mark.parametrize("n", [3, 5, 64, 100, 128, 129])
+def test_revert_round_trip_across_newton_steps(n):
+    # precision doubles 2, 4, ..., so 129 ends with a one-coefficient step
+    f = Series.from_text("0,1,-1/2,1/3", trunc=n)
+    fbar = f.revert()
+    assert fbar.trunc == n
+    assert f.compose(fbar) == Series.t(n)
+    assert fbar.compose(f) == Series.t(n)
 
 
 EXPONENT_POOL = [F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 2), F(1, 3), F(-2, 3)]
