@@ -6,10 +6,9 @@ Everything is exact rational arithmetic.  Binary operations truncate to the
 shorter operand and no operation ever extends precision, so a coefficient
 that is present is always correct.
 
-Composition is Brent–Kung baby-step/giant-step (about ``2 sqrt(n)``
-products) and reversion is Newton iteration on ``f(h) = t`` with one
-composition per doubling of precision (Brent & Kung, "Fast algorithms for
-manipulating formal power series", J. ACM 25(4), 1978).  Both are exact, so
+Composition is Brent–Kung baby-step/giant-step and reversion is Newton
+iteration on ``f(h) = t`` (Brent & Kung, "Fast algorithms for manipulating
+formal power series", J. ACM 25(4), 1978).  Both are exact, so
 ``f.compose(f.revert()) == t`` holds at every retained truncation.
 
 Exponential-generating-function coefficients ``a_n = n! * c_n`` are exposed
@@ -260,13 +259,13 @@ class Series:
         # block coefficient is one integer sum and one Fraction
         d = math.lcm(*(c.denominator for p in powers for c in p._coeffs))
         rows = [[int(c * d) for c in p._coeffs] for p in powers]
+        outer = self._coeffs[:n]
         acc = None
-        for start in range(k * ((n - 1) // k), -1, -k):
-            block = self._coeffs[start:min(start + k, n)]
+        for start in reversed(range(0, n, k)):
+            block = outer[start:start + k]
             da = math.lcm(*(c.denominator for c in block))
             scaled = [(int(c * da), row) for c, row in zip(block, rows) if c]
-            den = da * d
-            part = Series([Fraction(sum(a * row[j] for a, row in scaled), den)
+            part = Series([Fraction(sum(a * row[j] for a, row in scaled), da * d)
                            for j in range(n)])
             acc = part if acc is None else acc * giant + part
         return acc
