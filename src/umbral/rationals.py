@@ -5,7 +5,9 @@ The coefficient field everywhere is the rationals, realised by
 form (reduced, positive denominator) and compares structurally.
 This module owns the text representation used by the CLI and all
 exporters: ``p`` or ``p/q`` with an optional sign and no whitespace, and
-the aligned-column layout of the plain-text tables.
+the aligned-column layout of the plain-text tables.  Text past Python's
+int/str digit limit, which is left as the caller set it, is an error of
+this package that names ``sys.set_int_max_str_digits``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterator, Sequence, Union
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, OutOfRangeError
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
+
+_DIGIT_LIMIT = "exceeds the int/str digit limit; raise it with sys.set_int_max_str_digits"
 
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -27,17 +30,23 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q``; the written denominator must be positive."""
     if not _RATIONAL_PATTERN.fullmatch(text):
         raise InvalidParameterError(f"malformed rational {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InvalidParameterError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:
+        raise InvalidParameterError(f"rational of {len(text)} characters {_DIGIT_LIMIT}") from exc
+    if den == 0:
+        raise InvalidParameterError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: RationalLike) -> str:
     """Canonical ``p`` or ``p/q`` text, the inverse of :func:`parse_rational`."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise OutOfRangeError(f"rational {_DIGIT_LIMIT}") from exc
 
 
 def align_columns(rows: Sequence[Sequence[str]]) -> Iterator[str]:

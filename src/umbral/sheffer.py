@@ -224,16 +224,6 @@ def pair_power(pair: ShefferPair, m: int) -> ShefferPair:
     return ShefferPair(g_total, f_m)
 
 
-def umbral_compose(q: CoeffTriangle, p: CoeffTriangle) -> CoeffTriangle:
-    """Umbral composition of sequences: ``(q o p)_{n,j} = sum_k q_{n,k} p_{k,j}``."""
-    return q.matmul(p)
-
-
-def umbral_power_matrix(triangle: CoeffTriangle, m: int) -> CoeffTriangle:
-    """m-th umbral power through the coefficient matrix, m >= 1."""
-    return triangle.powers(m)[-1]
-
-
 def umbral_power_gf(pair: ShefferPair, m: int, n_max: int) -> CoeffTriangle:
     """m-th umbral power through the generating function of the powered pair."""
     return sheffer_triangle(pair_power(pair, m), n_max)

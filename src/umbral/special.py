@@ -3,7 +3,8 @@
 Covers Stirling numbers of the first kind, Lah numbers, higher-order
 Bernoulli and Euler numbers (any rational order, including negative),
 Abel and Mittag-Leffler coefficient triangles, multinomial coefficients
-and composition enumeration.
+and composition enumeration.  The Stirling and Mittag-Leffler triangles are
+built in integers from one Stirling row recurrence that keeps no state.
 """
 
 from __future__ import annotations
@@ -21,38 +22,38 @@ from .triangles import CoeffTriangle
 # -- Stirling numbers of the first kind ---------------------------------------
 
 
-_signed_stirling_rows = {0: (1,)}
-
-
-def _signed_stirling_row(n: int) -> tuple:
-    # s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k), upward from the nearest cached
-    # row; caching only row n keeps one large n to one row of memory
-    row = _signed_stirling_rows.get(n)
-    if row is None:
-        start = max(m for m in _signed_stirling_rows if m < n)
-        row = _signed_stirling_rows[start]
-        for m in range(start + 1, n + 1):
-            row = tuple((row[k - 1] if k else 0) - (m - 1) * (row[k] if k < m else 0)
-                        for k in range(m + 1))
-        _signed_stirling_rows[n] = row
-    return row
+def _stirling1_rows(n_max: int) -> Iterator[tuple]:
+    # signed rows 0..n_max as integer tuples, one alive at a time, by
+    # s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k) (Comtet, ch. V)
+    if n_max < 0:
+        raise InvalidParameterError("n_max must be nonnegative")
+    row = (1,)
+    yield row
+    for m in range(1, n_max + 1):
+        row = tuple(left - (m - 1) * right for left, right in zip((0,) + row, row + (0,)))
+        yield row
 
 
 def stirling1_signed(n: int, k: int) -> Fraction:
-    """Signed first-kind Stirling number: coefficient of x^k in x(x-1)...(x-n+1)."""
+    """Signed first-kind Stirling number: coefficient of x^k in x(x-1)...(x-n+1).
+    O(n^2) per call with nothing kept; for many entries use :func:`stirling1_triangle`."""
     if n < 0 or k < 0 or k > n:
         return Fraction(0)
-    return Fraction(_signed_stirling_row(n)[k])
+    for row in _stirling1_rows(n):
+        pass
+    return Fraction(row[k])
 
 
 def stirling1_unsigned(n: int, k: int) -> Fraction:
-    """Unsigned first-kind Stirling number: coefficient of x^k in x(x+1)...(x+n-1)."""
+    """Unsigned first-kind Stirling number: coefficient of x^k in x(x+1)...(x+n-1).
+    O(n^2) per call with nothing kept; for many entries use :func:`stirling1_triangle`."""
     return abs(stirling1_signed(n, k))
 
 
 def stirling1_triangle(n_max: int, signed: bool = False) -> CoeffTriangle:
-    fn = stirling1_signed if signed else stirling1_unsigned
-    return CoeffTriangle.from_entries(n_max, fn)
+    """Rows 0..n_max of the first-kind Stirling numbers, unsigned unless ``signed``."""
+    rows = _stirling1_rows(n_max)
+    return CoeffTriangle(rows if signed else (map(abs, row) for row in rows))
 
 
 # -- Lah numbers ----------------------------------------------------------------
@@ -149,22 +150,20 @@ def abel_triangle(n_max: int, a: RationalLike) -> CoeffTriangle:
 def mittag_leffler_triangle(n_max: int) -> CoeffTriangle:
     """Coefficient triangle of sum_r C(n,r) (n-1)!/(r-1)! 2^r x(x-1)...(x-r+1).
 
-    The reciprocal factorial 1/(-1)! is taken as 0, killing the r = 0
-    term for n >= 1; row 0 is [1] by convention.
+    Each row is an integer sum of weighted signed Stirling rows s(r, .),
+    r = 1..n.  The reciprocal factorial 1/(-1)! is taken as 0, killing the
+    r = 0 term for n >= 1; row 0 is [1] by convention.
     """
-
-    def entry(n: int, k: int) -> Fraction:
-        if n == 0:
-            return Fraction(1)
-        acc = Fraction(0)
-        for r in range(max(k, 1), n + 1):
+    stirling = list(_stirling1_rows(n_max))
+    rows = [(1,)]
+    for n in range(1, n_max + 1):
+        row = [0] * (n + 1)
+        for r in range(1, n + 1):
             weight = math.comb(n, r) * (math.factorial(n - 1) // math.factorial(r - 1)) * 2**r
-            s = stirling1_signed(r, k)
-            if s:
-                acc += weight * s
-        return acc
-
-    return CoeffTriangle.from_entries(n_max, entry)
+            for k, s in enumerate(stirling[r]):
+                row[k] += weight * s
+        rows.append(row)
+    return CoeffTriangle(rows)
 
 
 # -- multinomials and compositions ----------------------------------------------------

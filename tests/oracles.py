@@ -92,6 +92,22 @@ def poly_product(a, b):
     return out
 
 
+def mittag_leffler_row(n):
+    """Row n of the Mittag-Leffler triangle: sum_{r=1..n} C(n,r) (n-1)!/(r-1)! 2^r
+    times x(x-1)...(x-r+1), each falling factorial expanded factor by factor
+    with :func:`poly_product`; row 0 is [1]."""
+    if n == 0:
+        return [Fraction(1)]
+    row = [Fraction(0)] * (n + 1)
+    falling = [Fraction(1)]
+    for r in range(1, n + 1):
+        falling = poly_product(falling, [-(r - 1), 1])
+        weight = Fraction(math.comb(n, r) * math.factorial(n - 1), math.factorial(r - 1)) * 2**r
+        for k, c in enumerate(falling):
+            row[k] += weight * c
+    return row
+
+
 def naive_chain_sum(entry, n, k, m):
     """Literal nested sum over chain indices l_1..l_{m-1} in 0..n of
     entry(n, l_1) entry(l_1, l_2) ... entry(l_{m-1}, k)."""

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbral import format_rational, parse_rational
+from umbral import InvalidParameterError, OutOfRangeError, format_rational, parse_rational
 from umbral.cli import IDENTITIES, SERIES_OPS, main
 from umbral.sheffer import FAMILIES
 
@@ -304,6 +304,19 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(old)
 
 
+@pytest.fixture
+def default_int_digits():
+    # the interpreter's default limit, whatever an earlier test (or cli.main) set
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 HUGE = 10 ** 5000
 
 
@@ -314,6 +327,14 @@ def test_rational_text_round_trip(num, den):
     x = Fraction(num, den)
     with unlimited_int_digits():
         assert parse_rational(format_rational(x)) == x
+
+
+def test_rational_text_past_the_digit_limit_is_an_umbral_error(default_int_digits):
+    with pytest.raises(OutOfRangeError, match="set_int_max_str_digits"):
+        format_rational(Fraction(1, HUGE))
+    for text in ("1" * 5000, "-1/" + "7" * 5000):
+        with pytest.raises(InvalidParameterError, match="set_int_max_str_digits"):
+            parse_rational(text)
 
 
 # about one in six rationals has a zero denominator and one in six is malformed

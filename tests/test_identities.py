@@ -25,7 +25,6 @@ from umbral import (
     t2_rhs,
     t3_lhs,
     t3_rhs,
-    umbral_power_matrix,
     verify,
 )
 from umbral.identities import INTERPRETATIONS
@@ -259,7 +258,7 @@ def test_verify_lhs_equals_point_evaluators():
                     ("abel", F(2, 3)), ("mittag-leffler", None)):
         fam = family(name, a)
         for case in verify("xcheck", 5, 3, family_name=name, a=a).cases:
-            point = umbral_power_matrix(fam.closed_triangle(case.n), case.m)
+            point = fam.closed_triangle(case.n).powers(case.m)[-1]
             assert case.lhs == point.entry(case.n, case.k), (name, case)
 
 

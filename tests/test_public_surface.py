@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "InvalidInputError",
     "InvalidParameterError",
     "OutOfRangeError",
-    "Rational",
     "SequenceFamily",
     "Series",
     "ShefferPair",
@@ -46,9 +45,7 @@ PUBLIC_NAMES = [
     "t3_lhs",
     "t3_rhs",
     "transfer",
-    "umbral_compose",
     "umbral_power_gf",
-    "umbral_power_matrix",
     "verify",
     "verify_orthogonality",
 ]

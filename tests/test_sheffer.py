@@ -25,9 +25,7 @@ from umbral import (
     sheffer_triangle,
     stirling1_triangle,
     transfer,
-    umbral_compose,
     umbral_power_gf,
-    umbral_power_matrix,
     verify_orthogonality,
 )
 from umbral.sheffer import FAMILIES
@@ -246,22 +244,22 @@ def test_pair_power_rejects_nonpositive_m():
 def test_umbral_compose_identity_laws():
     q = stirling1_triangle(5)
     ident = CoeffTriangle.identity(5)
-    assert umbral_compose(q, ident) == q
-    assert umbral_compose(ident, q) == q
+    assert q.matmul(ident) == q
+    assert ident.matmul(q) == q
 
 
 def test_signed_lah_is_an_involution():
     signed = lah_triangle(5, signed=True)
-    assert umbral_compose(signed, signed) == CoeffTriangle.identity(5)
-    assert umbral_power_matrix(signed, 2) == CoeffTriangle.identity(5)
+    assert signed.matmul(signed) == CoeffTriangle.identity(5)
+    assert signed.powers(2)[-1] == CoeffTriangle.identity(5)
 
 
 def test_umbral_power_matrix_basics():
     tri = stirling1_triangle(4)
-    assert umbral_power_matrix(tri, 1) == tri
-    assert umbral_power_matrix(CoeffTriangle.identity(4), 3) == CoeffTriangle.identity(4)
+    assert tri.powers(1)[-1] == tri
+    assert CoeffTriangle.identity(4).powers(3)[-1] == CoeffTriangle.identity(4)
     with pytest.raises(InvalidParameterError):
-        umbral_power_matrix(tri, 0)
+        tri.powers(0)
 
 
 def test_power_leading_block_is_power_of_leading_block():
@@ -277,7 +275,7 @@ def test_power_leading_block_is_power_of_leading_block():
 
 def test_umbral_compose_requires_matching_sizes():
     with pytest.raises(InvalidInputError):
-        umbral_compose(CoeffTriangle.identity(3), CoeffTriangle.identity(4))
+        CoeffTriangle.identity(3).matmul(CoeffTriangle.identity(4))
 
 
 # -- cross-path agreement -------------------------------------------------------------------------------
@@ -287,13 +285,13 @@ def test_power_paths_agree_rising_factorial():
     fam = family("rising-factorial")
     tri = fam.closed_triangle(4)
     assert umbral_power_gf(fam.pair(5), 1, 4) == tri
-    assert umbral_power_gf(fam.pair(5), 2, 4) == umbral_power_matrix(tri, 2)
+    assert umbral_power_gf(fam.pair(5), 2, 4) == tri.powers(2)[-1]
 
 
 def test_power_paths_agree_abel():
     fam = family("abel", 1)
     tri = fam.closed_triangle(4)
-    assert umbral_power_gf(fam.pair(5), 2, 4) == umbral_power_matrix(tri, 2)
+    assert umbral_power_gf(fam.pair(5), 2, 4) == tri.powers(2)[-1]
 
 
 # -- composition and inverse laws on random pairs ----------------------------------------------------------
@@ -320,7 +318,7 @@ def test_composition_law_on_random_pairs():
         h, l = r_pair.g, r_pair.f
         composed = ShefferPair(g * h.compose(f), l.compose(f))
         lhs = sheffer_triangle(composed, n_max)
-        rhs = umbral_compose(sheffer_triangle(r_pair, n_max), sheffer_triangle(s_pair, n_max))
+        rhs = sheffer_triangle(r_pair, n_max).matmul(sheffer_triangle(s_pair, n_max))
         assert lhs == rhs
 
 
@@ -335,8 +333,8 @@ def test_inverse_law_on_random_pairs():
         inverse_pair = ShefferPair(pair.g.compose(fbar).inv(), fbar)
         t = sheffer_triangle(pair, n_max)
         t_inv = sheffer_triangle(inverse_pair, n_max)
-        assert umbral_compose(t_inv, t) == ident
-        assert umbral_compose(t, t_inv) == ident
+        assert t_inv.matmul(t) == ident
+        assert t.matmul(t_inv) == ident
 
 
 # -- family registry ------------------------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +30,7 @@ from umbral import (
     stirling1_unsigned,
 )
 
-from oracles import classical_bernoulli, conv_inverse, poly_product
+from oracles import classical_bernoulli, conv_inverse, mittag_leffler_row, poly_product
 
 
 # -- Stirling numbers of the first kind ----------------------------------------
@@ -95,6 +96,20 @@ def test_stirling_triangle_rows():
     assert tri.rows[3] == (0, 2, 3, 1)
     signed = stirling1_triangle(3, signed=True)
     assert signed.rows[3] == (0, 2, -3, 1)
+
+
+def test_stirling_rows_are_not_retained():
+    # umbral is imported before tracing starts, so only what the calls keep counts
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        triangle = stirling1_triangle(400, signed=True)
+        del triangle
+        assert stirling1_signed(1200, 1) == -math.factorial(1199)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 # -- factorial polynomials ---------------------------------------------------------
@@ -254,6 +269,12 @@ def test_mittag_leffler_small_rows():
     assert tri.rows[0] == (1,)
     assert tri.rows[1] == (0, 2)
     assert tri.rows[2] == (0, 0, 4)
+
+
+def test_mittag_leffler_rows_match_falling_factorial_oracle():
+    tri = mittag_leffler_triangle(30)
+    for n in range(31):
+        assert list(tri.rows[n]) == mittag_leffler_row(n), n
 
 
 def test_mittag_leffler_structure_invariants():
