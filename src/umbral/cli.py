@@ -188,10 +188,20 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # exact results and inputs may have any number of digits; the guard is
-    # for early 3.10 releases, which have neither the limit nor this call
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # exact results and inputs may have any number of digits, so the limit is
+    # lifted for this call and the caller's value put back after it; the guard
+    # is for early 3.10 releases, which have neither the limit nor these calls
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))

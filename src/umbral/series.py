@@ -34,7 +34,8 @@ class Series:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike], trunc: Optional[int] = None):
-        items = [Fraction(c) for c in coeffs]
+        # a Fraction is immutable and kept as is; Fraction(Fraction) costs an abc check
+        items = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if trunc is not None:
             if trunc < 1:
                 raise InvalidParameterError("truncation must be a positive integer")
@@ -132,8 +133,8 @@ class Series:
             # coefficient instead of one per partial sum
             da = math.lcm(*(c.denominator for c in self._coeffs[:n]))
             db = math.lcm(*(c.denominator for c in other._coeffs[:n]))
-            a = [int(c * da) for c in self._coeffs[:n]]
-            b = [int(c * db) for c in other._coeffs[:n]]
+            a = [c.numerator * (da // c.denominator) for c in self._coeffs[:n]]
+            b = [c.numerator * (db // c.denominator) for c in other._coeffs[:n]]
             d = da * db
             out = []
             for k in range(n):
@@ -242,13 +243,17 @@ class Series:
         blocks of ``k``; each block is an exact linear combination of the
         baby powers ``inner^0 .. inner^(k-1)``, and Horner in the giant
         power ``inner^k`` sums the blocks.  That is about ``2 sqrt(n)``
-        products instead of ``n``.
+        products instead of ``n``.  A constant outer series (every
+        coefficient above index 0 zero below ``n``) is returned as that
+        constant at once, with no products.
         """
         if not isinstance(inner, Series):
             raise TypeError("compose expects a Series")
         if inner.order() == 0:
             raise ClassMismatchError("composition needs an inner series of order >= 1")
         n = min(self.trunc, inner.trunc)
+        if not any(self._coeffs[1:n]):
+            return Series.constant(self._coeffs[0], n)
         k = math.isqrt(n - 1) + 1
         g = inner.truncated(n)
         powers = [Series.constant(1, n), g]
@@ -258,13 +263,14 @@ class Series:
         # baby powers as integer rows over one common denominator, so each
         # block coefficient is one integer sum and one Fraction
         d = math.lcm(*(c.denominator for p in powers for c in p._coeffs))
-        rows = [[int(c * d) for c in p._coeffs] for p in powers]
+        rows = [[c.numerator * (d // c.denominator) for c in p._coeffs] for p in powers]
         outer = self._coeffs[:n]
         acc = None
         for start in reversed(range(0, n, k)):
             block = outer[start:start + k]
             da = math.lcm(*(c.denominator for c in block))
-            scaled = [(int(c * da), row) for c, row in zip(block, rows) if c]
+            scaled = [(c.numerator * (da // c.denominator), row)
+                      for c, row in zip(block, rows) if c]
             part = Series([Fraction(sum(a * row[j] for a, row in scaled), da * d)
                            for j in range(n)])
             acc = part if acc is None else acc * giant + part

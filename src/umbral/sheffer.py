@@ -119,6 +119,9 @@ def sheffer_triangle(pair: ShefferPair, n_max: int) -> CoeffTriangle:
     compositional inverse of f,
 
         s_{n,k} = (n!/k!) [t^n] fbar^k / g(fbar).
+
+    The columns 1/g(fbar) * fbar^k, k = 0..n_max, come from one chain of
+    n_max products.
     """
     if n_max < 0:
         raise InvalidParameterError("n_max must be nonnegative")
@@ -126,12 +129,9 @@ def sheffer_triangle(pair: ShefferPair, n_max: int) -> CoeffTriangle:
         raise OutOfRangeError(
             f"working truncation {pair.trunc} must exceed n_max={n_max}")
     fbar = pair.f.revert()
-    norm = pair.g.compose(fbar).inv()
-    columns = []
-    power = Series.constant(1, pair.trunc)
-    for _ in range(n_max + 1):
-        columns.append(power * norm)
-        power = power * fbar
+    columns = [pair.g.compose(fbar).inv()]
+    for _ in range(n_max):
+        columns.append(columns[-1] * fbar)
     rows = []
     for n in range(n_max + 1):
         rows.append([
@@ -212,16 +212,19 @@ def transfer(p_triangle: CoeffTriangle, f: Series, g: Series, n_max: int) -> Coe
 
 
 def pair_power(pair: ShefferPair, m: int) -> ShefferPair:
-    """The pair of the m-th umbral power: ``(prod_{i<m} g(f^i), f^m)``, m >= 1."""
+    """The pair of the m-th umbral power: ``(prod_{i<m} g(f^i), f^m)``, m >= 1.
+
+    ``f^i`` is the i-fold composition, built as the chain ``f^(i+1) = f(f^i)``
+    from ``f^1 = f``: 2(m - 1) compositions in all.
+    """
     if m < 1:
         raise InvalidParameterError("pair power needs m >= 1")
     g_total = pair.g
-    current = Series.t(pair.trunc)
+    current = pair.f
     for _ in range(m - 1):
-        current = pair.f.compose(current)
         g_total = g_total * pair.g.compose(current)
-    f_m = pair.f.compose(current)
-    return ShefferPair(g_total, f_m)
+        current = pair.f.compose(current)
+    return ShefferPair(g_total, current)
 
 
 def umbral_power_gf(pair: ShefferPair, m: int, n_max: int) -> CoeffTriangle:

@@ -7,15 +7,25 @@ composition of sequences is matrix multiplication of these triangles,
 so the class carries exact matmul and ``powers`` (P^1 .. P^m in one
 chain of matmuls) alongside row access.  Rows 0..n of a power depend only
 on rows 0..n of the triangle, so one power list serves every smaller n.
+A product runs over integer rows and columns, each scaled to its own lcm
+denominator, and builds one ``Fraction`` per entry.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidInputError, InvalidParameterError, OutOfRangeError
 from .rationals import RationalLike, align_columns, format_rational
+
+
+def _scaled(entries) -> tuple:
+    # integer numerators over the entries' lcm denominator, and that denominator
+    d = math.lcm(*(c.denominator for c in entries))
+    return [c.numerator * (d // c.denominator) for c in entries], d
 
 
 class CoeffTriangle:
@@ -24,7 +34,7 @@ class CoeffTriangle:
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
         packed = []
         for n, row in enumerate(rows):
-            entries = tuple(Fraction(c) for c in row)
+            entries = tuple(c if type(c) is Fraction else Fraction(c) for c in row)
             if len(entries) != n + 1:
                 raise InvalidInputError(f"row {n} must have {n + 1} entries, got {len(entries)}")
             packed.append(entries)
@@ -63,24 +73,23 @@ class CoeffTriangle:
         return self._rows[n][k]
 
     def matmul(self, other: "CoeffTriangle") -> "CoeffTriangle":
-        """Triangle product ``result[n][j] = sum_k self[n][k] * other[k][j]``."""
+        """Triangle product ``result[n][j] = sum_k self[n][k] * other[k][j]``.
+
+        Each row of ``self`` and each column of ``other`` is scaled to
+        integers over its own lcm denominator, so an entry costs one integer
+        dot product and one ``Fraction``.
+        """
         if self.n_max != other.n_max:
             raise InvalidInputError(
                 f"triangle sizes differ: {self.n_max} vs {other.n_max}")
+        size = self.n_max + 1
+        columns = [_scaled([other._rows[k][j] for k in range(j, size)]) for j in range(size)]
         rows = []
-        for n in range(self.n_max + 1):
-            left = self._rows[n]
-            row = []
-            for j in range(n + 1):
-                acc = Fraction(0)
-                for k in range(j, n + 1):
-                    a = left[k]
-                    if a:
-                        b = other._rows[k][j]
-                        if b:
-                            acc += a * b
-                row.append(acc)
-            rows.append(row)
+        for row in self._rows:
+            left, d = _scaled(row)
+            # column j pairs left[j:] with rows j.. of other; map stops at row n
+            rows.append([Fraction(sum(map(mul, left[j:], column)), d * e)
+                         for j, (column, e) in enumerate(columns[:len(row)])])
         return CoeffTriangle(rows)
 
     __matmul__ = matmul

@@ -108,6 +108,21 @@ def mittag_leffler_row(n):
     return row
 
 
+def naive_matmul(a, b):
+    """Product of two lower-triangular matrices given as row lists (row n has
+    n + 1 entries), entry by entry: result[n][j] = sum_k a[n][k] * b[k][j]."""
+    out = []
+    for n in range(len(a)):
+        row = []
+        for j in range(n + 1):
+            acc = Fraction(0)
+            for k in range(j, n + 1):
+                acc += Fraction(a[n][k]) * Fraction(b[k][j])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
 def naive_chain_sum(entry, n, k, m):
     """Literal nested sum over chain indices l_1..l_{m-1} in 0..n of
     entry(n, l_1) entry(l_1, l_2) ... entry(l_{m-1}, k)."""

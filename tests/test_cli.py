@@ -284,6 +284,17 @@ def test_inputs_past_the_int_str_digit_limit(capsys):
     assert out == f"1,{digits}/3\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "--family", "lah", "--n-max", "1"),
+    ("table", "--family", "lah", "--n-max", "-1"),
+], ids=" ".join)
+def test_main_restores_the_int_str_digit_limit(argv, default_int_digits, capsys):
+    before = sys.get_int_max_str_digits()
+    main(list(argv))
+    capsys.readouterr()
+    assert sys.get_int_max_str_digits() == before
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
 
@@ -306,7 +317,7 @@ def unlimited_int_digits():
 
 @pytest.fixture
 def default_int_digits():
-    # the interpreter's default limit, whatever an earlier test (or cli.main) set
+    # the interpreter's default limit, whatever an earlier test set
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int/str digit limit")
     old = sys.get_int_max_str_digits()

@@ -402,6 +402,13 @@ def coeff_lists(low, high):
 )
 @example([F(2)], 1, 1, F(1), [])  # n = 1 and n = 2: a single block
 @example([F(2), F(3)], 2, 1, F(1), [])
+# constant outer series: zero, trunc 1, longer than the inner series, and
+# constant only below the shared truncation
+@example([F(0), F(0), F(0)], 5, 1, F(2), [F(1)])
+@example([F(-3, 2)], 6, 1, F(1), [F(1)])
+@example([F(5)] + [F(0)] * 7, 3, 1, F(1, 2), [F(-1)])
+@example([F(7), F(0), F(0), F(1)], 3, 2, F(1), [])
+@example([F(7), F(0), F(0)], 9, None, F(1), [])
 def test_compose_matches_brute_force(outer, inner_trunc, order, lead, tail):
     f = Series(outer)
     g = inner_series(inner_trunc, order, lead, tail)

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbral import (
     ClassMismatchError,
@@ -17,6 +18,7 @@ from umbral import (
     OutOfRangeError,
     Series,
     ShefferPair,
+    abel_triangle,
     apply_operator,
     family,
     lah_triangle,
@@ -30,7 +32,7 @@ from umbral import (
 )
 from umbral.sheffer import FAMILIES
 
-from oracles import brute_compose, conv_inverse
+from oracles import brute_compose, conv_inverse, conv_product, naive_matmul
 
 
 def exp_series(trunc):
@@ -233,6 +235,24 @@ def test_pair_power_general_pair():
     assert powered.g == Series([F(1)] + [F(2)] * 7)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pair_power_general_pair_matches_oracle_chain(m):
+    # g != 1, so the g-product and the 1/g(fbar) factor both take part
+    n = 9
+    g = [F(1), F(1, 2), F(-2), F(0), F(3, 5)] + [F(0)] * (n - 5)
+    f = [F(0), F(2), F(-1), F(1, 3), F(0), F(-1, 7)] + [F(0)] * (n - 6)
+    g_total, f_i = g, f
+    for _ in range(m - 1):
+        g_total = conv_product(g_total, brute_compose(g, f_i, n), n)
+        f_i = brute_compose(f, f_i, n)
+    pair = ShefferPair(Series(g), Series(f))
+    powered = pair_power(pair, m)
+    assert powered.g.coeffs == tuple(g_total)
+    assert powered.f.coeffs == tuple(f_i)
+    # and the gf side of the power agrees with the matrix side
+    assert umbral_power_gf(pair, m, n - 1) == sheffer_triangle(pair, n - 1).powers(m)[-1]
+
+
 def test_pair_power_rejects_nonpositive_m():
     with pytest.raises(InvalidParameterError):
         pair_power(identity_pair(5), 0)
@@ -271,6 +291,35 @@ def test_power_leading_block_is_power_of_leading_block():
             small = row.closed_triangle(n, *params).powers(3)
             for m in (1, 2, 3):
                 assert big[m - 1].rows[:n + 1] == small[m - 1].rows, (row.table, n, m)
+
+
+# zeros, negatives, small and large mixed denominators in one triangle
+entry = st.one_of(st.just(F(0)), st.fractions(-20, 20, max_denominator=12),
+                  st.fractions(max_denominator=10 ** 9))
+
+
+def triangle_rows(n_max):
+    return st.tuples(*(st.lists(entry, min_size=n + 1, max_size=n + 1)
+                       for n in range(n_max + 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(triangle_rows(n), triangle_rows(n))))
+def test_matmul_matches_naive_product(factors):
+    a, b = factors
+    product = CoeffTriangle(a).matmul(CoeffTriangle(b))
+    assert [list(row) for row in product.rows] == naive_matmul(a, b)
+
+
+def test_abel_powers_match_naive_chain():
+    tri = abel_triangle(30, F(2, 3))
+    rows = [list(row) for row in tri.rows]
+    chain = rows
+    for power in tri.powers(4)[1:]:
+        chain = naive_matmul(chain, rows)
+        for n in range(31):
+            for k in range(n + 1):
+                assert power.entry(n, k) == chain[n][k], (n, k)
 
 
 def test_umbral_compose_requires_matching_sizes():

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbral import special
 from umbral import (
     CoeffTriangle,
     InvalidParameterError,
@@ -110,6 +111,17 @@ def test_stirling_rows_are_not_retained():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
+
+
+def test_series_caches_stay_bounded():
+    # a session sweeping 1000 distinct orders must not keep them all
+    for cached, public in ((special._bernoulli_series, bernoulli_series),
+                           (special._euler_series, euler_series)):
+        bound = cached.cache_info().maxsize
+        assert bound is not None
+        for i in range(1000):
+            public(F(i, 7), 4)
+        assert cached.cache_info().currsize <= bound
 
 
 # -- factorial polynomials ---------------------------------------------------------
