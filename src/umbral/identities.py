@@ -9,7 +9,15 @@ case with both values; comparison is exact rational equality.
 
 One ``verify`` call builds one left side, the powers 1..m_max of its
 family's closed triangle at n_max, and every case reads its entry from
-that list.  ``t1_lhs`` .. ``remark_lhs`` are uncached point evaluators.
+that list.  The right side is built per n by a side builder.  It fills a
+table with exactly the factors that the compositions of that n can reach,
+one ``bernoulli_high``/``euler_high`` call per entry (the literal remark
+reading reads one series per order instead), and scales the table to
+integers over its lcm denominator.  Each case then walks its compositions
+as an integer sum and makes one ``Fraction``.  The tables live for one
+call and the right side never touches a triangle.  ``t1_rhs`` ..
+``remark_rhs`` are single-case calls of the same builders; ``t1_lhs`` ..
+``remark_lhs`` are uncached point evaluators.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ from typing import Dict, Optional, Tuple
 from .errors import InvalidParameterError
 from .rationals import RationalLike, align_columns, format_rational
 from .sheffer import family, umbral_power_gf
-from .special import bernoulli_high, compositions, euler_high, multinomial
+from .special import (_padded_trunc, bernoulli_high, bernoulli_series, compositions,
+                      euler_high, euler_series, multinomial)
 
 T1 = "T1"
 T2 = "T2"
@@ -36,6 +45,12 @@ INTERPRETATIONS = ("literal", "indexed")
 # the family whose closed triangle gives each identity's left side
 LHS_FAMILY = {T1: "rising-factorial", T2: "lah", T3: "abel", REMARK: "mittag-leffler"}
 
+# The most compositions one remark case may enumerate.  ``verify("remark", ...)``
+# checks its largest case, C(n_max - 1 + 2 m_max - 1, 2 m_max - 1), against it
+# before any work; the benchmark's largest is 1287 (n_max = 9, m_max = 3) and a
+# case at the cap takes seconds.
+REMARK_MAX_COMPOSITIONS = 10**6
+
 
 def _check_grid_point(n: int, k: int, m: int) -> None:
     if n < 1 or m < 1:
@@ -44,24 +59,150 @@ def _check_grid_point(n: int, k: int, m: int) -> None:
         raise InvalidParameterError(f"k={k} outside 1..{n}")
 
 
+def _check_remark_size(n_max: int, m_max: int) -> None:
+    top, low = n_max + 2 * m_max - 2, min(n_max - 1, 2 * m_max - 1)
+    # C(top, low) >= 2^low because top >= 2 low, so a large low is over the
+    # cap without computing the binomial
+    if low >= REMARK_MAX_COMPOSITIONS.bit_length() or math.comb(top, low) > REMARK_MAX_COMPOSITIONS:
+        raise InvalidParameterError(
+            f"remark with n_max={n_max}, m_max={m_max} enumerates more than"
+            f" {REMARK_MAX_COMPOSITIONS} compositions in one case")
+
+
 def _lhs_point(identity: str, n: int, k: int, m: int, a: Optional[RationalLike] = None) -> Fraction:
     _check_grid_point(n, k, m)
     return family(LHS_FAMILY[identity], a).closed_triangle(n).powers(m)[-1].entry(n, k)
 
 
-def _suffix_chain_sum(n: int, k: int, m: int, factor) -> Fraction:
+# -- right-side builders ----------------------------------------------------------
+#
+# A builder fills the tables of one n (for every m up to m_max) and returns
+# case(k, m) -> (value, terms), where terms is None or a function that lists
+# the case's per-composition terms.
+
+
+def _scaled_rows(rows):
+    """The rows of rationals as integer numerators over their lcm denominator."""
+    den = math.lcm(*(value.denominator for row in rows for value in row))
+    return [[value.numerator * (den // value.denominator) for value in row] for row in rows], den
+
+
+def _reach(n: int, m_max: int) -> range:
+    # the sums a composition of n - k (k >= 1) can consume before its last
+    # part or block: only 0 unless some case has a second one
+    return range(n if m_max > 1 else 1)
+
+
+def _suffix_chain_side(n: int, m_max: int, factor, alternating: bool = False):
     """Sum over compositions (k_1 .. k_m) of n - k of
     multinomial(n-1; k_1..k_m, k-1) * prod_j factor(k_j, n - suffix_j),
-    where suffix_j = k_{j+1} + ... + k_m is the part already consumed."""
-    total = Fraction(0)
-    for parts in compositions(n - k, m):
-        prod = Fraction(1)
-        suffix = 0
-        for j in range(m - 1, -1, -1):
-            prod *= factor(parts[j], n - suffix)
-            suffix += parts[j]
-        total += multinomial(n - 1, parts + (k - 1,)) * prod
-    return total
+    where suffix_j = k_{j+1} + ... + k_m is the part already consumed, times
+    (-1)^{n-k} when ``alternating``."""
+    rows, den = _scaled_rows([[factor(p, n - s) for p in range(n - s)] for s in _reach(n, m_max)])
+
+    def case(k: int, m: int):
+        total = 0
+        for parts in compositions(n - k, m):
+            term = multinomial(n - 1, parts + (k - 1,)).numerator
+            suffix = 0
+            for part in reversed(parts):
+                term *= rows[suffix][part]
+                suffix += part
+            total += term
+        if alternating and (n - k) % 2:
+            total = -total
+        return Fraction(total, den ** m), None
+
+    return case
+
+
+def _t1_side(n: int, m_max: int):
+    return _suffix_chain_side(n, m_max, bernoulli_high, alternating=True)
+
+
+def _t2_side(n: int):
+    def case(k: int, m: int):
+        total = 0
+        for parts in compositions(n - k, m):
+            exponent = k
+            suffix = 0
+            for j in range(m - 1, 0, -1):
+                suffix += parts[j]
+                exponent += n - suffix
+            term = multinomial(n - 1, parts + (k - 1,)).numerator
+            total += -term if exponent % 2 else term
+        return Fraction(math.factorial(n) // math.factorial(k) * total), None
+
+    return case
+
+
+def _t3_side(n: int, m_max: int, a: Fraction):
+    return _suffix_chain_side(n, m_max, lambda part, order: (-a * order) ** part)
+
+
+def _series_factor(gf, trunc: int):
+    # the egf coefficients of gf(order, trunc): one series per order, kept by
+    # the returned function
+    made = {}
+
+    def factor(index: int, order: int) -> Fraction:
+        if order not in made:
+            made[order] = gf(order, trunc)
+        return made[order].egf_coefficient(index)
+
+    return factor
+
+
+def _remark_readings(m_max: int):
+    """Per reading: whether block i reads the indices k_{2i+1}, k_{2i+2} (else
+    2i+1, 2i+2), and its Euler and Bernoulli lookups.  The literal reading's
+    indices reach 2 m_max whatever the composition, so it reads one series
+    per order at that truncation, padded as ``bernoulli_high`` pads it."""
+    trunc = _padded_trunc(2 * m_max + 1)
+    return {"literal": (False, _series_factor(euler_series, trunc),
+                        _series_factor(bernoulli_series, trunc)),
+            "indexed": (True, euler_high, bernoulli_high)}
+
+
+def _remark_side(n: int, m_max: int, reading):
+    """Sum over compositions of n - k into 2m parts.
+
+    With prefix sums S_{2i} of the first 2i parts, block i contributes an
+    Euler number of order S_{2i} - n, a Bernoulli number of order n - S_{2i}
+    and a factor 2^{n - S_{2i}}, taken as a shift.  Column j of a table row
+    holds index j under the indexed reading, and indices 2j+1 (Euler) and
+    2j+2 (Bernoulli) under the literal one.
+    """
+    indexed, euler, bernoulli = reading
+    reach = _reach(n, m_max)
+    if indexed:
+        e_rows, e_den = _scaled_rows([[euler(j, s - n) for j in range(n - s)] for s in reach])
+        b_rows, b_den = _scaled_rows([[bernoulli(j, n - s) for j in range(n - s)] for s in reach])
+    else:
+        e_rows, e_den = _scaled_rows([[euler(2 * j + 1, s - n) for j in range(m_max)]
+                                      for s in reach])
+        b_rows, b_den = _scaled_rows([[bernoulli(2 * j + 2, n - s) for j in range(m_max)]
+                                      for s in reach])
+
+    def case(k: int, m: int):
+        terms = []
+        for parts in compositions(n - k, 2 * m):
+            term = multinomial(n - 1, parts + (k - 1,)).numerator
+            prefix = shift = 0
+            for i in range(m):
+                e, b = parts[2 * i], parts[2 * i + 1]
+                if indexed:
+                    term *= e_rows[prefix][e] * b_rows[prefix][b]
+                else:
+                    term *= e_rows[prefix][i] * b_rows[prefix][i]
+                shift += n - prefix
+                prefix += e + b
+            terms.append((parts, term << shift))
+        den = (e_den * b_den) ** m
+        value = Fraction(sum(term for _, term in terms), den)
+        return value, lambda: tuple((parts, Fraction(term, den)) for parts, term in terms)
+
+    return case
 
 
 # -- unsigned Stirling identity ------------------------------------------------
@@ -80,8 +221,7 @@ def t1_rhs(n: int, k: int, m: int) -> Fraction:
     n minus the already-consumed suffix k_{j+1} + ... + k_m.
     """
     _check_grid_point(n, k, m)
-    sign = -1 if (n - k) % 2 else 1
-    return sign * _suffix_chain_sum(n, k, m, bernoulli_high)
+    return _t1_side(n, m)(k, m)[0]
 
 
 # -- Lah identity ----------------------------------------------------------------
@@ -96,17 +236,7 @@ def t2_rhs(n: int, k: int, m: int) -> Fraction:
     """Composition sum (n!/k!) * multinomial with the alternating-sign exponent
     built from the m - 1 suffix partial sums of the composition, plus k."""
     _check_grid_point(n, k, m)
-    base = Fraction(math.factorial(n) // math.factorial(k))
-    total = Fraction(0)
-    for parts in compositions(n - k, m):
-        exponent = k
-        suffix = 0
-        for j in range(m - 1, 0, -1):
-            suffix += parts[j]
-            exponent += n - suffix
-        term = multinomial(n - 1, parts + (k - 1,))
-        total += -term if exponent % 2 else term
-    return base * total
+    return _t2_side(n)(k, m)[0]
 
 
 # -- Abel identity ------------------------------------------------------------------
@@ -123,7 +253,7 @@ def t3_rhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
     a = Fraction(a)
     if a == 0:
         raise InvalidParameterError("abel parameter must be nonzero")
-    return _suffix_chain_sum(n, k, m, lambda part, order: (-a * order) ** part)
+    return _t3_side(n, m, a)(k, m)[0]
 
 
 # -- Mittag-Leffler identity (both printed readings) -----------------------------------
@@ -132,6 +262,13 @@ def t3_rhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
 def remark_lhs(n: int, k: int, m: int) -> Fraction:
     """(n, k) entry of the m-th matrix power of the Mittag-Leffler triangle."""
     return _lhs_point(REMARK, n, k, m)
+
+
+def _remark_case(n: int, k: int, m: int, interpretation: str):
+    _check_grid_point(n, k, m)
+    if interpretation not in INTERPRETATIONS:
+        raise InvalidParameterError(f"unknown interpretation {interpretation!r}")
+    return _remark_side(n, m, _remark_readings(m)[interpretation])(k, m)
 
 
 def remark_rhs_terms(n: int, k: int, m: int,
@@ -145,28 +282,11 @@ def remark_rhs_terms(n: int, k: int, m: int,
     composition entries k_{2i+1}, k_{2i+2}; under ``literal`` they are the
     fixed integers 2i+1, 2i+2.
     """
-    _check_grid_point(n, k, m)
-    if interpretation not in INTERPRETATIONS:
-        raise InvalidParameterError(f"unknown interpretation {interpretation!r}")
-    indexed = interpretation == "indexed"
-    terms = []
-    for parts in compositions(n - k, 2 * m):
-        mult = multinomial(n - 1, parts + (k - 1,))
-        prod = Fraction(1)
-        prefix = 0
-        for i in range(m):
-            e_index = parts[2 * i] if indexed else 2 * i + 1
-            b_index = parts[2 * i + 1] if indexed else 2 * i + 2
-            prod *= (euler_high(e_index, prefix - n)
-                     * bernoulli_high(b_index, n - prefix)
-                     * Fraction(2) ** (n - prefix))
-            prefix += parts[2 * i] + parts[2 * i + 1]
-        terms.append((parts, mult * prod))
-    return tuple(terms)
+    return _remark_case(n, k, m, interpretation)[1]()
 
 
 def remark_rhs(n: int, k: int, m: int, interpretation: str) -> Fraction:
-    return sum((value for _, value in remark_rhs_terms(n, k, m, interpretation)), Fraction(0))
+    return _remark_case(n, k, m, interpretation)[0]
 
 
 # -- reports ------------------------------------------------------------------------
@@ -253,30 +373,25 @@ class IdentityReport:
         yield f"all_equal: {'true' if self.all_equal else 'false'}"
 
 
-def _walk(n_max, m_max, powers, rhs, low=1, interpretation=None):
-    """Compare entry (n, k) of ``powers[m - 1]`` with ``rhs(n, k, m)`` in
-    (n, m, k) order over low <= k <= n <= n_max, 1 <= m <= m_max.  ``rhs``
-    returns the value and its per-composition terms, or None; a mismatch
-    keeps them as diagnostics.
+def _walk(n_max, m_max, powers, side, low=1, interpretation=None):
+    """Compare entry (n, k) of ``powers[m - 1]`` with the right side in
+    (n, m, k) order over low <= k <= n <= n_max, 1 <= m <= m_max.
+    ``side(n)`` builds the right side for one n; its ``case(k, m)`` returns
+    the value and a function listing the per-composition terms, or None.
+    Only a mismatch lists them, as diagnostics.
     """
     cases = []
     for n in range(low, n_max + 1):
+        case = side(n)
         for m in range(1, m_max + 1):
             for k in range(low, n + 1):
                 left = powers[m - 1].entry(n, k)
-                right, terms = rhs(n, k, m)
+                right, terms = case(k, m)
                 equal = left == right
                 cases.append(IdentityCase(
                     n, m, k, left, right, equal, interpretation,
-                    diagnostics=None if equal else terms))
+                    diagnostics=None if equal or terms is None else terms()))
     return cases
-
-
-def _remark_side(interpretation):
-    def rhs(n, k, m):
-        terms = remark_rhs_terms(n, k, m, interpretation)
-        return sum((value for _, value in terms), Fraction(0)), terms
-    return rhs
 
 
 def verify(identity: str, n_max: int, m_max: int, *,
@@ -297,6 +412,8 @@ def verify(identity: str, n_max: int, m_max: int, *,
         raise InvalidParameterError(f"identity {identity.lower()} takes no family")
     if a is not None and identity in (T1, T2, REMARK):
         raise InvalidParameterError(f"identity {identity.lower()} takes no parameter a")
+    if identity == REMARK:
+        _check_remark_size(n_max, m_max)
 
     params: Dict[str, object] = {"n_max": n_max, "m_max": m_max}
     if identity == XCHECK:
@@ -313,14 +430,17 @@ def verify(identity: str, n_max: int, m_max: int, *,
     # the right side per interpretation (None when the identity has one reading)
     if identity == REMARK:
         params["interpretations"] = ",".join(INTERPRETATIONS)
-        sides = {i: _remark_side(i) for i in INTERPRETATIONS}
+        readings = _remark_readings(m_max)
+        sides = {i: lambda n, reading=readings[i]: _remark_side(n, m_max, reading)
+                 for i in INTERPRETATIONS}
     elif identity == XCHECK:
         pair = fam.pair(n_max + 1)
         gf = [umbral_power_gf(pair, m, n_max) for m in range(1, m_max + 1)]
-        sides = {None: lambda n, k, m: (gf[m - 1].entry(n, k), None)}
+        sides = {None: lambda n: lambda k, m: (gf[m - 1].entry(n, k), None)}
     else:
-        rhs = {T1: t1_rhs, T2: t2_rhs, T3: lambda n, k, m: t3_rhs(n, k, m, fam.a)}[identity]
-        sides = {None: lambda n, k, m: (rhs(n, k, m), None)}
+        sides = {None: {T1: lambda n: _t1_side(n, m_max),
+                        T2: _t2_side,
+                        T3: lambda n: _t3_side(n, m_max, fam.a)}[identity]}
     low = 0 if identity == XCHECK else 1
     cases = [case for interpretation, side in sides.items()
              for case in _walk(n_max, m_max, powers, side, low, interpretation)]

@@ -7,6 +7,8 @@ a value confirmed by an oracle is evidence, not circularity.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -164,3 +166,38 @@ def lagrange_interpolate(points):
         for d, c in enumerate(basis):
             coeffs[d] += scale * c
     return coeffs
+
+
+@functools.lru_cache(maxsize=None)
+def higher_order_number(kind, p, order):
+    """p! [t^p] of (t/(e^t - 1))^order for ``kind`` "bernoulli", or of
+    (2/(e^t + 1))^order for "euler", at an integer order: |order| schoolbook
+    products of the base series or of its inverse."""
+    if kind == "bernoulli":
+        reciprocal = [Fraction(1, math.factorial(j + 1)) for j in range(p + 1)]  # (e^t - 1)/t
+    else:
+        reciprocal = [Fraction(1)] + [Fraction(1, 2 * math.factorial(j)) for j in range(1, p + 1)]
+    base = reciprocal if order < 0 else conv_inverse(reciprocal, p + 1)
+    power = [Fraction(1)] + [Fraction(0)] * p
+    for _ in range(abs(order)):
+        power = conv_product(power, base, p + 1)
+    return math.factorial(p) * power[p]
+
+
+def composition_terms(n, k, m, factor):
+    """(parts, multinomial(n-1; parts, k-1) * factor(parts)) for every m-tuple of
+    nonnegative integers summing to n - k, in the lexicographic order of an
+    ``itertools.product`` listing."""
+    terms = []
+    for parts in itertools.product(range(n - k + 1), repeat=m):
+        if sum(parts) == n - k:
+            mult = Fraction(math.factorial(n - 1), math.factorial(k - 1))
+            for part in parts:
+                mult /= math.factorial(part)
+            terms.append((parts, mult * factor(parts)))
+    return terms
+
+
+def composition_sum(n, k, m, factor):
+    """Plain ``Fraction`` sum of :func:`composition_terms`."""
+    return sum((term for _, term in composition_terms(n, k, m, factor)), Fraction(0))

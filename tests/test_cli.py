@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbral import InvalidParameterError, OutOfRangeError, format_rational, parse_rational
+from umbral import InvalidParameterError, OutOfRangeError, format_rational, parse_rational, special
 from umbral.cli import IDENTITIES, SERIES_OPS, main
 from umbral.sheffer import FAMILIES
 
@@ -177,6 +177,16 @@ def test_verify_remark_exits_one_but_reports(capsys):
     assert interpretations == {"literal", "indexed"}
     failing = [c for c in obj["cases"] if not c["equal"]]
     assert failing and all("diagnostics" in c for c in failing)
+
+
+def test_verify_remark_over_the_size_limit_is_a_usage_error(capsys):
+    special._bernoulli_series.cache_clear()
+    special._euler_series.cache_clear()
+    code, out, err = run(capsys, "verify", "remark", "--n-max", "30", "--m-max", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "compositions" in err
+    assert special._bernoulli_series.cache_info().misses == 0
+    assert special._euler_series.cache_info().misses == 0
 
 
 def test_verify_xcheck_requires_family(capsys):

@@ -27,6 +27,7 @@ from umbral import (
     t3_rhs,
     verify,
 )
+from umbral import identities, special
 from umbral.identities import INTERPRETATIONS
 
 from oracles import lagrange_interpolate, naive_chain_sum
@@ -265,6 +266,39 @@ def test_verify_lhs_equals_point_evaluators():
 def test_identities_at_thousands_of_powers():
     # one composition of 0 into m parts: no recursion depth grows with m
     assert t1_rhs(1, 1, 1100) == t1_lhs(1, 1, 1100) == 1
+
+
+def clear_series_caches():
+    for cached in (special._bernoulli_series, special._euler_series):
+        cached.cache_clear()
+
+
+def test_literal_remark_builds_one_series_per_order():
+    # indices 1 .. 2m of orders 1 and -1: one series each at the padded
+    # truncation of 2 m_max, and one each at trunc 8 for the indexed reading
+    clear_series_caches()
+    verify("remark", 1, 40)
+    assert special._bernoulli_series.cache_info().misses <= 2
+    assert special._euler_series.cache_info().misses <= 2
+
+
+def test_remark_size_limit_counts_the_largest_case(monkeypatch):
+    # n_max = 9, m_max = 3: compositions of 8 into 6 parts, C(13, 5) = 1287
+    assert identities.REMARK_MAX_COMPOSITIONS >= 500 * 1287
+    monkeypatch.setattr(identities, "REMARK_MAX_COMPOSITIONS", 1286)
+    with pytest.raises(InvalidParameterError, match="1286 compositions"):
+        verify("remark", 9, 3)
+    monkeypatch.setattr(identities, "REMARK_MAX_COMPOSITIONS", 1287)
+    assert len(verify("remark", 9, 3).cases) == 2 * 3 * 45
+
+
+def test_remark_size_limit_comes_before_any_series():
+    clear_series_caches()
+    for n_max, m_max in ((30, 10), (10**6, 10**6), (2, 10**7)):
+        with pytest.raises(InvalidParameterError, match="compositions"):
+            verify("remark", n_max, m_max)
+    assert special._bernoulli_series.cache_info().misses == 0
+    assert special._euler_series.cache_info().misses == 0
 
 
 def test_verify_validation():
