@@ -6,9 +6,11 @@ Everything is exact rational arithmetic.  Binary operations truncate to the
 shorter operand and no operation ever extends precision, so a coefficient
 that is present is always correct.
 
+Inverse, exponential and rational power are one integer kernel, J. C. P.
+Miller's power recurrence over a running lcm denominator (:func:`_miller`).
 Composition is Brent–Kung baby-step/giant-step and reversion is Newton
 iteration on ``f(h) = t`` (Brent & Kung, "Fast algorithms for manipulating
-formal power series", J. ACM 25(4), 1978).  Both are exact, so
+formal power series", J. ACM 25(4), 1978).  All are exact, so
 ``f.compose(f.revert()) == t`` holds at every retained truncation.
 
 Exponential-generating-function coefficients ``a_n = n! * c_n`` are exposed
@@ -19,6 +21,7 @@ on ordinary coefficients.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -150,19 +153,13 @@ class Series:
     __rmul__ = __mul__
 
     def inv(self) -> "Series":
-        """Multiplicative inverse; requires order 0."""
+        """Multiplicative inverse; requires order 0.  :func:`_miller` inverts
+        the series over its constant term, then divides by that term again."""
         if self.order() != 0:
             raise ClassMismatchError("multiplicative inverse needs an invertible series (order 0)")
-        a = self._coeffs
-        lead = 1 / a[0]
-        out = [lead]
-        for k in range(1, self.trunc):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if a[i] and out[k - i]:
-                    acc += a[i] * out[k - i]
-            out.append(-lead * acc)
-        return Series(out)
+        a0 = self._coeffs[0]
+        out = _miller([c / a0 for c in self._coeffs], 0, -1, 1)
+        return Series([c / a0 for c in out])
 
     def int_pow(self, m: int) -> "Series":
         """m-fold product; ``m < 0`` inverts first and needs order 0."""
@@ -179,13 +176,13 @@ class Series:
         return result
 
     def rat_pow(self, alpha: RationalLike) -> "Series":
-        """Power with rational exponent via exp(alpha * log); needs ``c_0 = 1``."""
+        """Power with rational exponent, integer or not, in one :func:`_miller`
+        pass; needs ``c_0 = 1``."""
         if self._coeffs[0] != 1:
             raise ClassMismatchError("rational power needs constant term 1")
         alpha = Fraction(alpha)
-        if self.trunc == 1:
-            return Series([1])
-        return (self.log() * alpha).exp()
+        p, q = alpha.numerator, alpha.denominator
+        return Series(_miller(self._coeffs, p + q, -q, q))
 
     def __pow__(self, exponent: RationalLike) -> "Series":
         e = Fraction(exponent)
@@ -204,20 +201,11 @@ class Series:
         return (self.derivative() * self.inv())._integrated()
 
     def exp(self) -> "Series":
-        """Series exponential; requires order >= 1 (zero constant term)."""
+        """Series exponential by :func:`_miller` (``E' = E s'``); requires
+        order >= 1 (zero constant term)."""
         if self._coeffs[0] != 0:
             raise ClassMismatchError("series exponential needs order >= 1")
-        s = self._coeffs
-        out = [Fraction(1)]
-        # E' = E * s'  gives  (k+1) E_{k+1} = sum_i E_i (k+1-i) s_{k+1-i}
-        for k in range(self.trunc - 1):
-            acc = Fraction(0)
-            for i in range(k + 1):
-                c = s[k + 1 - i]
-                if c and out[i]:
-                    acc += out[i] * (k + 1 - i) * c
-            out.append(acc / (k + 1))
-        return Series(out)
+        return Series(_miller(self._coeffs, 1, 0, 1))
 
     # -- calculus helpers -------------------------------------------------
 
@@ -323,3 +311,39 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({self.to_text()!r})"
+
+
+def _miller(a, u: int, v: int, q: int) -> list:
+    """Coefficients ``P_0 .. P_{n-1}`` (``n = len(a)``) of the series with
+    ``P_0 = 1`` and, for ``k >= 1``,
+
+        q k P_k = sum_{i=1..k} (u i + v k) a_i P_{k-i}.
+
+    This is J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7):
+    for ``a_0 = 1`` the weights ``(p + q, -q, q)`` give ``a^(p/q)``, and
+    ``(0, -1, 1)`` give ``1/a``; ``(1, 0, 1)`` give ``exp(a - a_0)``.
+    ``a_0`` itself is never read.
+
+    The sums run in integers: ``a`` is scaled once to numerators over its
+    lcm denominator ``d``, and ``P_0 .. P_{k-1}`` are kept as numerators
+    over the running lcm ``lcm`` of their reduced denominators, rescaled
+    only when ``lcm`` grows.  Each coefficient is one integer sum and one
+    :class:`Fraction`; no common denominator ``a_0^k d^k`` is ever built.
+    """
+    d = math.lcm(*(c.denominator for c in a[1:]))
+    ints = [c.numerator * (d // c.denominator) for c in a]
+    weighted = [u * i * x for i, x in enumerate(ints)]
+    out, nums, lcm = [Fraction(1)], [1], 1  # P_j = nums[j] / lcm
+    for k in range(1, len(a)):
+        back = nums[::-1]
+        acc = sum(map(operator.mul, weighted[1:k + 1], back))
+        if v:
+            acc += v * k * sum(map(operator.mul, ints[1:k + 1], back))
+        c = Fraction(acc, q * k * d * lcm)
+        out.append(c)
+        if lcm % c.denominator:
+            grow = c.denominator // math.gcd(lcm, c.denominator)
+            nums = [x * grow for x in nums]
+            lcm *= grow
+        nums.append(c.numerator * (lcm // c.denominator))
+    return out

@@ -84,7 +84,8 @@ def lah_triangle(n_max: int, signed: bool = False) -> CoeffTriangle:
 # Entries kept per series cache.  Every benchmark workload stays far below it
 # (at most 32 Bernoulli and 12 Euler keys in one process), and a t1 grid
 # needs about 2 n_max orders, so grids to n_max = 60 never evict; at trunc 64
-# a full cache holds about 1.3 MB.
+# a full cache holds about 1.3 MB.  A miss costs one O(trunc^2) integer pass
+# of Series.rat_pow (Miller's recurrence), for integer orders as for others.
 _SERIES_CACHE_SIZE = 128
 
 
@@ -95,16 +96,18 @@ def _padded_trunc(trunc: int) -> int:
 
 @lru_cache(maxsize=_SERIES_CACHE_SIZE)
 def _bernoulli_series(alpha: Fraction, trunc: int) -> Series:
-    # (e^t - 1)/t has ordinary coefficients 1/(k+1)!
+    # (t/(e^t - 1))^alpha as ((e^t - 1)/t)^(-alpha), whose base has ordinary
+    # coefficients 1/(k+1)!: one power, no inverse
     base = Series([Fraction(1, math.factorial(k + 1)) for k in range(trunc)])
-    return base.inv().rat_pow(alpha)
+    return base.rat_pow(-alpha)
 
 
 @lru_cache(maxsize=_SERIES_CACHE_SIZE)
 def _euler_series(alpha: Fraction, trunc: int) -> Series:
-    # (e^t + 1)/2 has constant term 1 and ordinary coefficients 1/(2 k!)
+    # (2/(e^t + 1))^alpha as ((e^t + 1)/2)^(-alpha), whose base has constant
+    # term 1 and ordinary coefficients 1/(2 k!)
     base = Series([Fraction(1)] + [Fraction(1, 2 * math.factorial(k)) for k in range(1, trunc)])
-    return base.inv().rat_pow(alpha)
+    return base.rat_pow(-alpha)
 
 
 def bernoulli_series(alpha: RationalLike, trunc: int) -> Series:

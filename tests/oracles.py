@@ -39,6 +39,29 @@ def conv_inverse(a, n_terms):
     return out
 
 
+def conv_power(a, m, n_terms):
+    """a^m by m schoolbook products; for m < 0, |m| products of
+    :func:`conv_inverse` (a[0] must then be nonzero)."""
+    base = a if m >= 0 else conv_inverse(a, n_terms)
+    power = [Fraction(1)] + [Fraction(0)] * (n_terms - 1)
+    for _ in range(abs(m)):
+        power = conv_product(power, base, n_terms)
+    return power
+
+
+def exp_sum(s, n_terms):
+    """exp(s) as the finite sum of s^j / j! for j < n_terms; s[0] must be 0,
+    so s^j vanishes below t^j and the later terms add nothing."""
+    assert Fraction(s[0]) == 0
+    total = [Fraction(0)] * n_terms
+    power = [Fraction(1)] + [Fraction(0)] * (n_terms - 1)
+    for j in range(n_terms):
+        for k in range(n_terms):
+            total[k] += power[k] / math.factorial(j)
+        power = conv_product(power, s, n_terms)
+    return total
+
+
 def brute_compose(outer, inner, n_terms):
     """Compose by explicitly summing outer_k * inner^k; inner[0] must be 0."""
     assert Fraction(inner[0]) == 0
@@ -177,11 +200,7 @@ def higher_order_number(kind, p, order):
         reciprocal = [Fraction(1, math.factorial(j + 1)) for j in range(p + 1)]  # (e^t - 1)/t
     else:
         reciprocal = [Fraction(1)] + [Fraction(1, 2 * math.factorial(j)) for j in range(1, p + 1)]
-    base = reciprocal if order < 0 else conv_inverse(reciprocal, p + 1)
-    power = [Fraction(1)] + [Fraction(0)] * p
-    for _ in range(abs(order)):
-        power = conv_product(power, base, p + 1)
-    return math.factorial(p) * power[p]
+    return math.factorial(p) * conv_power(reciprocal, -order, p + 1)[p]
 
 
 def composition_terms(n, k, m, factor):

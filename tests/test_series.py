@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from umbral import ClassMismatchError, InvalidParameterError, OutOfRangeError, Series
 
-from oracles import (brute_compose, classical_bernoulli, conv_inverse, conv_product,
-                     lagrange_revert)
+from oracles import (brute_compose, classical_bernoulli, conv_inverse, conv_power, conv_product,
+                     exp_sum, lagrange_revert)
 
 
 def exp_series(trunc: int) -> Series:
@@ -445,6 +445,49 @@ EXPONENT_POOL = [F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 2), F(1, 3), F(-2, 3)]
 def test_rat_pow_additivity(tail, p, q):
     s = Series([F(1)] + tail)
     assert s.rat_pow(p) * s.rat_pow(q) == s.rat_pow(p + q)
+
+
+# inv, exp and rat_pow share one integer recurrence (Miller's); each is
+# checked against a schoolbook oracle on coefficients with zeros, signs and
+# denominators up to 10^9, which make the running lcm denominator grow
+wide = st.one_of(coeff, st.builds(F, st.integers(-10**9, 10**9), st.integers(1, 10**9)))
+wide_nonzero = wide.filter(bool)
+
+
+def wide_lists(low, high):
+    return st.integers(low, high).flatmap(lambda n: st.lists(wide, min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_lists(0, 39), st.integers(-6, 6), st.integers(1, 6))
+@example([], 3, 2)  # trunc 1
+@example([F(2), F(-1, 3)], 0, 5)  # alpha = 0
+@example([F(1, 7), F(0), F(-2)], -4, 1)  # integer alpha
+@example([F(0)] * 9, -5, 3)  # all-zero tail
+def test_rat_pow_matches_power_oracle(tail, p, q):
+    # (s^(p/q))^q == s^p, both sides by schoolbook products
+    s = Series([F(1)] + tail)
+    n = s.trunc
+    root = s.rat_pow(F(p, q))
+    assert conv_power(root.coeffs, q, n) == conv_power(s.coeffs, p, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_nonzero, wide_lists(0, 29))
+@example(F(-3), [F(1), F(0), F(2)])
+@example(F(5, 7), [])
+def test_inv_matches_conv_inverse(lead, tail):
+    s = Series([lead] + tail)
+    assert s.inv().coeffs == tuple(conv_inverse(s.coeffs, s.trunc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_lists(0, 19))
+@example([])
+@example([F(0), F(0), F(1, 2)])
+def test_exp_matches_power_sum_oracle(tail):
+    s = Series([F(0)] + tail)
+    assert s.exp().coeffs == tuple(exp_sum(s.coeffs, s.trunc))
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,7 +31,8 @@ from umbral import (
     stirling1_unsigned,
 )
 
-from oracles import classical_bernoulli, conv_inverse, mittag_leffler_row, poly_product
+from oracles import (classical_bernoulli, conv_inverse, conv_power, higher_order_number,
+                     mittag_leffler_row, poly_product)
 
 
 # -- Stirling numbers of the first kind ----------------------------------------
@@ -238,6 +239,28 @@ def test_euler_convolution_law(alpha, beta, n):
         for j in range(n + 1)
     )
     assert euler_high(n, alpha + beta) == total
+
+
+SERIES_BUILDERS = (("bernoulli", bernoulli_series), ("euler", euler_series))
+
+
+@pytest.mark.parametrize("kind, builder", SERIES_BUILDERS)
+@pytest.mark.parametrize("order", range(-4, 5))
+def test_integer_orders_match_schoolbook_powers(kind, builder, order):
+    trunc = 14
+    series = builder(order, trunc)
+    for p in range(trunc):
+        assert series.egf_coefficient(p) == higher_order_number(kind, p, order)
+
+
+@pytest.mark.parametrize("kind, builder", SERIES_BUILDERS)
+@pytest.mark.parametrize("p, q", [(1, 2), (-1, 2), (2, 3), (-5, 3), (3, 4), (-1, 6)])
+def test_rational_order_to_the_q_is_the_integer_order(kind, builder, p, q):
+    trunc = 12
+    powered = conv_power(builder(F(p, q), trunc).coeffs, q, trunc)
+    assert powered == list(builder(p, trunc).coeffs)
+    assert [math.factorial(k) * c for k, c in enumerate(powered)] == [
+        higher_order_number(kind, k, p) for k in range(trunc)]
 
 
 def test_series_builders_match_number_accessors():
