@@ -2,22 +2,34 @@
 
 Each identity equates the (n, k) entry of the m-th umbral power of a
 worked sequence (left side, evaluated as a triangle matrix power) with a
-sum over integer compositions of n - k whose terms are built from
-multinomials and higher-order Bernoulli/Euler numbers (right side).
-The verification driver walks a full (n, m, k) grid and reports every
-case with both values; comparison is exact rational equality.
+sum over integer compositions of n - k (right side).  The verification
+driver walks a full (n, m, k) grid and reports every case with both
+values; comparison is exact rational equality.
 
 One ``verify`` call builds one left side, the powers 1..m_max of its
 family's closed triangle at n_max, and every case reads its entry from
-that list.  The right side is built per n by a side builder.  It fills a
-table with exactly the factors that the compositions of that n can reach,
-one ``bernoulli_high``/``euler_high`` call per entry (the literal remark
-reading reads one series per order instead), and scales the table to
-integers over its lcm denominator.  Each case then walks its compositions
-as an integer sum and makes one ``Fraction``.  The tables live for one
-call and the right side never touches a triangle.  ``t1_rhs`` ..
-``remark_rhs`` are single-case calls of the same builders; ``t1_lhs`` ..
-``remark_lhs`` are uncached point evaluators.
+that list.
+
+The paper writes all four right sides in one shape: a multinomial times a
+chain of per-part factors, each depending on its part and on the order
+left before it.  One walker, :func:`_chain_side`, sums that shape for
+every identity, and what differs lives in its factor tables:
+
+- t1: (-1)^p B_p^{(order)};
+- t2: (-1)^{p + order}, with the sum multiplied by n!/k!;
+- t3: (-a order)^p;
+- remark: blocks of two parts, E^{(-order)} and B^{(order)} 2^{order},
+  indexed by the parts or, under the literal reading, by the block.
+
+Per n, each table holds exactly the factors that the compositions of that
+n can reach, one ``bernoulli_high``/``euler_high`` call per entry (the
+literal remark reading reads one series per order instead), scaled to
+integers over its lcm denominator.  Each case is then an integer sum with
+one ``Fraction``.  The tables live for one call and the right side never
+touches a triangle.  Only the remark keeps its per-composition terms, as
+diagnostics of a failing case.  ``t1_rhs`` .. ``remark_rhs`` are
+single-case calls of the same walker; ``t1_lhs`` .. ``remark_lhs`` are
+uncached point evaluators.
 """
 
 from __future__ import annotations
@@ -25,10 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, Optional, Tuple
 
 from .errors import InvalidParameterError
-from .rationals import RationalLike, align_columns, format_rational
+from .rationals import RationalLike, align_columns, format_rational, scaled_to_integers
 from .sheffer import family, umbral_power_gf
 from .special import (_padded_trunc, bernoulli_high, bernoulli_series, compositions,
                       euler_high, euler_series, multinomial)
@@ -74,70 +87,80 @@ def _lhs_point(identity: str, n: int, k: int, m: int, a: Optional[RationalLike] 
     return family(LHS_FAMILY[identity], a).closed_triangle(n).powers(m)[-1].entry(n, k)
 
 
-# -- right-side builders ----------------------------------------------------------
-#
-# A builder fills the tables of one n (for every m up to m_max) and returns
-# case(k, m) -> (value, terms), where terms is None or a function that lists
-# the case's per-composition terms.
+# -- the right sides -----------------------------------------------------------------
 
 
-def _scaled_rows(rows):
-    """The rows of rationals as integer numerators over their lcm denominator."""
-    den = math.lcm(*(value.denominator for row in rows for value in row))
-    return [[value.numerator * (den // value.denominator) for value in row] for row in rows], den
+def _chain_side(n: int, m_max: int, factors, literal: bool = False):
+    """The right side of one n as ``case(k, m) -> (value, terms)``, for m <= m_max.
 
+    With w = len(factors), the value is the sum over compositions
+    (k_1 .. k_wm) of n - k into m blocks of w parts of
 
-def _reach(n: int, m_max: int) -> range:
-    # the sums a composition of n - k (k >= 1) can consume before its last
-    # part or block: only 0 unless some case has a second one
-    return range(n if m_max > 1 else 1)
+        multinomial(n-1; k_1..k_wm, k-1) * prod_i prod_j factors[j](c_ij, n - S_i),
 
+    where part j of block i is k_{wi+j+1}, S_i is the sum of the parts before
+    block i, so n - S_i is the order still left, and the column c_ij is the
+    part itself, or the block index i under the ``literal`` remark reading.
+    ``terms()`` lists each composition with its term.
 
-def _suffix_chain_side(n: int, m_max: int, factor, alternating: bool = False):
-    """Sum over compositions (k_1 .. k_m) of n - k of
-    multinomial(n-1; k_1..k_m, k-1) * prod_j factor(k_j, n - suffix_j),
-    where suffix_j = k_{j+1} + ... + k_m is the part already consumed, times
-    (-1)^{n-k} when ``alternating``."""
-    rows, den = _scaled_rows([[factor(p, n - s) for p in range(n - s)] for s in _reach(n, m_max)])
+    The paper writes t1, t2 and t3 with the order left after each part, n
+    minus a suffix sum.  Reversing a composition maps the compositions of
+    n - k into m parts onto themselves, keeps the multinomial and turns
+    each suffix sum into a prefix sum, so the prefix form here sums the
+    same terms.
+
+    Each factor is tabulated once, at every prefix sum that can start a
+    block (only 0 unless m_max > 1) and every column the compositions
+    reach there, and scaled to integers over its lcm denominator, so a case
+    is an integer sum with one ``Fraction``.
+    """
+    width = len(factors)
+    tables, den = [], 1
+    for factor in factors:
+        rows = [[factor(c, n - s) for c in (range(m_max) if literal else range(n - s))]
+                for s in range(n if m_max > 1 else 1)]
+        flat, d = scaled_to_integers(value for row in rows for value in row)
+        values = iter(flat)
+        tables.append([list(islice(values, len(row))) for row in rows])
+        den *= d
 
     def case(k: int, m: int):
-        total = 0
-        for parts in compositions(n - k, m):
+        # part j of block i: its table, its block and whether it ends the block
+        slots = [(tables[j], i, j == width - 1) for i in range(m) for j in range(width)]
+        terms = []
+        for parts in compositions(n - k, width * m):
             term = multinomial(n - 1, parts + (k - 1,)).numerator
-            suffix = 0
-            for part in reversed(parts):
-                term *= rows[suffix][part]
-                suffix += part
-            total += term
-        if alternating and (n - k) % 2:
-            total = -total
-        return Fraction(total, den ** m), None
+            used = row = 0
+            for (table, i, last), part in zip(slots, parts):
+                term *= table[row][i if literal else part]
+                used += part
+                if last:
+                    row = used
+            terms.append((parts, term))
+        scale = den ** m
+        value = Fraction(sum(term for _, term in terms), scale)
+        return value, lambda: tuple((parts, Fraction(term, scale)) for parts, term in terms)
 
     return case
 
 
 def _t1_side(n: int, m_max: int):
-    return _suffix_chain_side(n, m_max, bernoulli_high, alternating=True)
+    # the sign (-1)^{n-k} is the product of (-1)^{k_j} over the parts
+    side = _chain_side(n, m_max, [lambda p, order: (-1) ** p * bernoulli_high(p, order)])
+    return lambda k, m: (side(k, m)[0], None)
 
 
-def _t2_side(n: int):
-    def case(k: int, m: int):
-        total = 0
-        for parts in compositions(n - k, m):
-            exponent = k
-            suffix = 0
-            for j in range(m - 1, 0, -1):
-                suffix += parts[j]
-                exponent += n - suffix
-            term = multinomial(n - 1, parts + (k - 1,)).numerator
-            total += -term if exponent % 2 else term
-        return Fraction(math.factorial(n) // math.factorial(k) * total), None
-
-    return case
+def _t2_side(n: int, m_max: int):
+    # the paper's sign exponent, k plus n - S_j for every part but the first
+    # (S_j the sum of the parts before part j), has the parity of the sum of
+    # k_j + n - S_j over all parts
+    side = _chain_side(n, m_max, [lambda p, order: (-1) ** (p + order)])
+    return lambda k, m: (side(k, m)[0] * (math.factorial(n) // math.factorial(k)), None)
 
 
 def _t3_side(n: int, m_max: int, a: Fraction):
-    return _suffix_chain_side(n, m_max, lambda part, order: (-a * order) ** part)
+    side = _chain_side(n, m_max, [lambda p, order: (-a * order) ** p])
+    return lambda k, m: (side(k, m)[0], None)
 
 
 def _series_factor(gf, trunc: int):
@@ -154,55 +177,22 @@ def _series_factor(gf, trunc: int):
 
 
 def _remark_readings(m_max: int):
-    """Per reading: whether block i reads the indices k_{2i+1}, k_{2i+2} (else
-    2i+1, 2i+2), and its Euler and Bernoulli lookups.  The literal reading's
-    indices reach 2 m_max whatever the composition, so it reads one series
-    per order at that truncation, padded as ``bernoulli_high`` pads it."""
-    trunc = _padded_trunc(2 * m_max + 1)
-    return {"literal": (False, _series_factor(euler_series, trunc),
-                        _series_factor(bernoulli_series, trunc)),
-            "indexed": (True, euler_high, bernoulli_high)}
+    """Per reading, the factors of a block (e, b) and whether it is literal.
 
-
-def _remark_side(n: int, m_max: int, reading):
-    """Sum over compositions of n - k into 2m parts.
-
-    With prefix sums S_{2i} of the first 2i parts, block i contributes an
-    Euler number of order S_{2i} - n, a Bernoulli number of order n - S_{2i}
-    and a factor 2^{n - S_{2i}}, taken as a shift.  Column j of a table row
-    holds index j under the indexed reading, and indices 2j+1 (Euler) and
-    2j+2 (Bernoulli) under the literal one.
+    With S the sum of the parts before the block, a block contributes
+    E_e^{(S - n)} B_b^{(n - S)} 2^{n - S}; the 2^{n - S} is folded into the
+    Bernoulli factor.  The literal reading takes the fixed indices 2i + 1
+    (Euler) and 2i + 2 (Bernoulli) for block i instead of e and b.  They
+    reach 2 m_max whatever the composition, so it reads one series per
+    order at that truncation, padded as ``bernoulli_high`` pads it.
     """
-    indexed, euler, bernoulli = reading
-    reach = _reach(n, m_max)
-    if indexed:
-        e_rows, e_den = _scaled_rows([[euler(j, s - n) for j in range(n - s)] for s in reach])
-        b_rows, b_den = _scaled_rows([[bernoulli(j, n - s) for j in range(n - s)] for s in reach])
-    else:
-        e_rows, e_den = _scaled_rows([[euler(2 * j + 1, s - n) for j in range(m_max)]
-                                      for s in reach])
-        b_rows, b_den = _scaled_rows([[bernoulli(2 * j + 2, n - s) for j in range(m_max)]
-                                      for s in reach])
-
-    def case(k: int, m: int):
-        terms = []
-        for parts in compositions(n - k, 2 * m):
-            term = multinomial(n - 1, parts + (k - 1,)).numerator
-            prefix = shift = 0
-            for i in range(m):
-                e, b = parts[2 * i], parts[2 * i + 1]
-                if indexed:
-                    term *= e_rows[prefix][e] * b_rows[prefix][b]
-                else:
-                    term *= e_rows[prefix][i] * b_rows[prefix][i]
-                shift += n - prefix
-                prefix += e + b
-            terms.append((parts, term << shift))
-        den = (e_den * b_den) ** m
-        value = Fraction(sum(term for _, term in terms), den)
-        return value, lambda: tuple((parts, Fraction(term, den)) for parts, term in terms)
-
-    return case
+    trunc = _padded_trunc(2 * m_max + 1)
+    euler = _series_factor(euler_series, trunc)
+    bernoulli = _series_factor(bernoulli_series, trunc)
+    return {"literal": ([lambda i, order: euler(2 * i + 1, -order),
+                         lambda i, order: bernoulli(2 * i + 2, order) * 2 ** order], True),
+            "indexed": ([lambda e, order: euler_high(e, -order),
+                         lambda b, order: bernoulli_high(b, order) * 2 ** order], False)}
 
 
 # -- unsigned Stirling identity ------------------------------------------------
@@ -236,7 +226,7 @@ def t2_rhs(n: int, k: int, m: int) -> Fraction:
     """Composition sum (n!/k!) * multinomial with the alternating-sign exponent
     built from the m - 1 suffix partial sums of the composition, plus k."""
     _check_grid_point(n, k, m)
-    return _t2_side(n)(k, m)[0]
+    return _t2_side(n, m)(k, m)[0]
 
 
 # -- Abel identity ------------------------------------------------------------------
@@ -250,10 +240,7 @@ def t3_lhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
 def t3_rhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
     """Composition sum with factors (-a * remaining-order)^{k_i}."""
     _check_grid_point(n, k, m)
-    a = Fraction(a)
-    if a == 0:
-        raise InvalidParameterError("abel parameter must be nonzero")
-    return _t3_side(n, m, a)(k, m)[0]
+    return _t3_side(n, m, family(LHS_FAMILY[T3], a).a)(k, m)[0]
 
 
 # -- Mittag-Leffler identity (both printed readings) -----------------------------------
@@ -268,7 +255,7 @@ def _remark_case(n: int, k: int, m: int, interpretation: str):
     _check_grid_point(n, k, m)
     if interpretation not in INTERPRETATIONS:
         raise InvalidParameterError(f"unknown interpretation {interpretation!r}")
-    return _remark_side(n, m, _remark_readings(m)[interpretation])(k, m)
+    return _chain_side(n, m, *_remark_readings(m)[interpretation])(k, m)
 
 
 def remark_rhs_terms(n: int, k: int, m: int,
@@ -431,7 +418,7 @@ def verify(identity: str, n_max: int, m_max: int, *,
     if identity == REMARK:
         params["interpretations"] = ",".join(INTERPRETATIONS)
         readings = _remark_readings(m_max)
-        sides = {i: lambda n, reading=readings[i]: _remark_side(n, m_max, reading)
+        sides = {i: lambda n, reading=readings[i]: _chain_side(n, m_max, *reading)
                  for i in INTERPRETATIONS}
     elif identity == XCHECK:
         pair = fam.pair(n_max + 1)
@@ -439,7 +426,7 @@ def verify(identity: str, n_max: int, m_max: int, *,
         sides = {None: lambda n: lambda k, m: (gf[m - 1].entry(n, k), None)}
     else:
         sides = {None: {T1: lambda n: _t1_side(n, m_max),
-                        T2: _t2_side,
+                        T2: lambda n: _t2_side(n, m_max),
                         T3: lambda n: _t3_side(n, m_max, fam.a)}[identity]}
     low = 0 if identity == XCHECK else 1
     cases = [case for interpretation, side in sides.items()

@@ -4,18 +4,21 @@ The coefficient field everywhere is the rationals, realised by
 :class:`fractions.Fraction`, which already keeps values in canonical
 form (reduced, positive denominator) and compares structurally.
 This module owns the text representation used by the CLI and all
-exporters: ``p`` or ``p/q`` with an optional sign and no whitespace, and
-the aligned-column layout of the plain-text tables.  Text past Python's
-int/str digit limit, which is left as the caller set it, is an error of
-this package that names ``sys.set_int_max_str_digits``.
+exporters, ``p`` or ``p/q`` with an optional sign and no whitespace; the
+aligned-column layout of the plain-text tables; and
+:func:`scaled_to_integers`, which every integer kernel uses to put
+rationals over one common denominator.  Text past Python's int/str digit
+limit, which is left as the caller set it, is an error of this package
+that names ``sys.set_int_max_str_digits``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .errors import InvalidParameterError, OutOfRangeError
 
@@ -24,6 +27,14 @@ RationalLike = Union[Fraction, int]
 _DIGIT_LIMIT = "exceeds the int/str digit limit; raise it with sys.set_int_max_str_digits"
 
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def scaled_to_integers(values: Iterable[RationalLike]) -> Tuple[List[int], int]:
+    """The values as integer numerators over their lcm denominator, and that
+    denominator (1 for no values)."""
+    values = list(values)
+    den = math.lcm(*(value.denominator for value in values))
+    return [value.numerator * (den // value.denominator) for value in values], den
 
 
 def parse_rational(text: str) -> Fraction:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import ClassMismatchError, InvalidParameterError, OutOfRangeError
-from .rationals import RationalLike, format_rational, parse_rational
+from .rationals import RationalLike, format_rational, parse_rational, scaled_to_integers
 
 ScalarOrSeries = Union["Series", Fraction, int]
 
@@ -134,10 +134,8 @@ class Series:
             n = min(self.trunc, other.trunc)
             # convolve over a common denominator: one reduction per output
             # coefficient instead of one per partial sum
-            da = math.lcm(*(c.denominator for c in self._coeffs[:n]))
-            db = math.lcm(*(c.denominator for c in other._coeffs[:n]))
-            a = [c.numerator * (da // c.denominator) for c in self._coeffs[:n]]
-            b = [c.numerator * (db // c.denominator) for c in other._coeffs[:n]]
+            a, da = scaled_to_integers(self._coeffs[:n])
+            b, db = scaled_to_integers(other._coeffs[:n])
             d = da * db
             out = []
             for k in range(n):
@@ -250,15 +248,14 @@ class Series:
         giant = powers.pop()
         # baby powers as integer rows over one common denominator, so each
         # block coefficient is one integer sum and one Fraction
-        d = math.lcm(*(c.denominator for p in powers for c in p._coeffs))
-        rows = [[c.numerator * (d // c.denominator) for c in p._coeffs] for p in powers]
+        flat, d = scaled_to_integers(c for p in powers for c in p._coeffs)
+        rows = [flat[i:i + n] for i in range(0, len(flat), n)]
         outer = self._coeffs[:n]
         acc = None
         for start in reversed(range(0, n, k)):
             block = outer[start:start + k]
-            da = math.lcm(*(c.denominator for c in block))
-            scaled = [(c.numerator * (da // c.denominator), row)
-                      for c, row in zip(block, rows) if c]
+            ints, da = scaled_to_integers(block)
+            scaled = [(a, row) for a, row in zip(ints, rows) if a]
             part = Series([Fraction(sum(a * row[j] for a, row in scaled), da * d)
                            for j in range(n)])
             acc = part if acc is None else acc * giant + part
@@ -330,8 +327,8 @@ def _miller(a, u: int, v: int, q: int) -> list:
     only when ``lcm`` grows.  Each coefficient is one integer sum and one
     :class:`Fraction`; no common denominator ``a_0^k d^k`` is ever built.
     """
-    d = math.lcm(*(c.denominator for c in a[1:]))
-    ints = [c.numerator * (d // c.denominator) for c in a]
+    tail, d = scaled_to_integers(a[1:])
+    ints = [0] + tail
     weighted = [u * i * x for i, x in enumerate(ints)]
     out, nums, lcm = [Fraction(1)], [1], 1  # P_j = nums[j] / lcm
     for k in range(1, len(a)):

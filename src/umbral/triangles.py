@@ -13,19 +13,12 @@ denominator, and builds one ``Fraction`` per entry.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidInputError, InvalidParameterError, OutOfRangeError
-from .rationals import RationalLike, align_columns, format_rational
-
-
-def _scaled(entries) -> tuple:
-    # integer numerators over the entries' lcm denominator, and that denominator
-    d = math.lcm(*(c.denominator for c in entries))
-    return [c.numerator * (d // c.denominator) for c in entries], d
+from .rationals import RationalLike, align_columns, format_rational, scaled_to_integers
 
 
 class CoeffTriangle:
@@ -83,10 +76,11 @@ class CoeffTriangle:
             raise InvalidInputError(
                 f"triangle sizes differ: {self.n_max} vs {other.n_max}")
         size = self.n_max + 1
-        columns = [_scaled([other._rows[k][j] for k in range(j, size)]) for j in range(size)]
+        columns = [scaled_to_integers(other._rows[k][j] for k in range(j, size))
+                   for j in range(size)]
         rows = []
         for row in self._rows:
-            left, d = _scaled(row)
+            left, d = scaled_to_integers(row)
             # column j pairs left[j:] with rows j.. of other; map stops at row n
             rows.append([Fraction(sum(map(mul, left[j:], column)), d * e)
                          for j, (column, e) in enumerate(columns[:len(row)])])

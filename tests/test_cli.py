@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbral import InvalidParameterError, OutOfRangeError, format_rational, parse_rational, special
 from umbral.cli import IDENTITIES, SERIES_OPS, main
+from umbral.rationals import scaled_to_integers
 from umbral.sheffer import FAMILIES
 
 
@@ -348,6 +350,16 @@ def test_rational_text_round_trip(num, den):
     x = Fraction(num, den)
     with unlimited_int_digits():
         assert parse_rational(format_rational(x)) == x
+
+
+@given(st.lists(st.one_of(st.integers(-10 ** 9, 10 ** 9),
+                          st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
+                                    st.integers(1, 10 ** 9))), max_size=6))
+def test_scaled_to_integers_is_exact_over_the_least_denominator(values):
+    nums, den = scaled_to_integers(values)
+    assert [Fraction(x, den) for x in nums] == values
+    # no factor of den cancels from every numerator, so no smaller one exists
+    assert math.gcd(den, *nums) == 1
 
 
 def test_rational_text_past_the_digit_limit_is_an_umbral_error(default_int_digits):

@@ -109,3 +109,5 @@ def test_verify_right_sides_are_the_single_case_values(identity, n_max, m_max, a
         else:
             single = {"t1": t1_rhs, "t2": t2_rhs, "t3": t3_rhs}[identity]
             assert case.rhs == single(n, k, m, *((a,) if identity == "t3" else ()))
+            # only the remark lists per-composition terms
+            assert case.diagnostics is None

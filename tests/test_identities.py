@@ -197,6 +197,14 @@ def test_grid_point_validation():
         remark_rhs(2, 1, 1, "mystery")
 
 
+def test_t3_rhs_rejects_a_zero_parameter_as_verify_does():
+    with pytest.raises(InvalidParameterError) as single:
+        t3_rhs(3, 1, 2, 0)
+    with pytest.raises(InvalidParameterError) as grid:
+        verify("t3", 3, 2, a=0)
+    assert str(single.value) == str(grid.value) == "abel family needs a nonzero parameter"
+
+
 # -- verification driver -----------------------------------------------------------------------------
 
 
