@@ -127,7 +127,7 @@ def _chain_side(n: int, m_max: int, factors, literal: bool = False):
     def case(k: int, m: int):
         # part j of block i: its table, its block and whether it ends the block
         slots = [(tables[j], i, j == width - 1) for i in range(m) for j in range(width)]
-        terms = []
+        listed, terms = [], []
         for parts in compositions(n - k, width * m):
             term = multinomial(n - 1, parts + (k - 1,)).numerator
             used = row = 0
@@ -136,10 +136,11 @@ def _chain_side(n: int, m_max: int, factors, literal: bool = False):
                 used += part
                 if last:
                     row = used
-            terms.append((parts, term))
+            listed.append(parts)
+            terms.append(term)
         scale = den ** m
-        value = Fraction(sum(term for _, term in terms), scale)
-        return value, lambda: tuple((parts, Fraction(term, scale)) for parts, term in terms)
+        return Fraction(sum(terms), scale), lambda: tuple(
+            (parts, Fraction(term, scale)) for parts, term in zip(listed, terms))
 
     return case
 
@@ -151,9 +152,9 @@ def _t1_side(n: int, m_max: int):
 
 
 def _t2_side(n: int, m_max: int):
-    # the paper's sign exponent, k plus n - S_j for every part but the first
-    # (S_j the sum of the parts before part j), has the parity of the sum of
-    # k_j + n - S_j over all parts
+    # reversed as in _chain_side, the sign exponent of t2_rhs is k plus
+    # n - S_j for every part j but the first, S_j the sum of the parts before
+    # it; that has the parity of the sum of k_j + n - S_j over all parts
     side = _chain_side(n, m_max, [lambda p, order: (-1) ** (p + order)])
     return lambda k, m: (side(k, m)[0] * (math.factorial(n) // math.factorial(k)), None)
 
