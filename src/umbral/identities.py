@@ -146,8 +146,12 @@ def _chain_side(n: int, m_max: int, factors, literal: bool = False):
 
 
 def _t1_side(n: int, m_max: int):
-    # the sign (-1)^{n-k} is the product of (-1)^{k_j} over the parts
-    side = _chain_side(n, m_max, [lambda p, order: (-1) ** p * bernoulli_high(p, order)])
+    def factor(p: int, order: int) -> Fraction:
+        # (-1)^p B_p^{(order)}: the signs of the parts multiply to (-1)^{n-k}
+        value = bernoulli_high(p, order)
+        return -value if p % 2 else value
+
+    side = _chain_side(n, m_max, [factor])
     return lambda k, m: (side(k, m)[0], None)
 
 
