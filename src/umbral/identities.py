@@ -228,8 +228,8 @@ def t2_lhs(n: int, k: int, m: int) -> Fraction:
 
 
 def t2_rhs(n: int, k: int, m: int) -> Fraction:
-    """Composition sum (n!/k!) * multinomial with the alternating-sign exponent
-    built from the m - 1 suffix partial sums of the composition, plus k."""
+    """Composition sum (n!/k!) * multinomial with a sign (-1)^e, the exponent
+    e built from the m - 1 suffix partial sums of the composition, plus k."""
     _check_grid_point(n, k, m)
     return _t2_side(n, m)(k, m)[0]
 
