@@ -6,8 +6,9 @@ Everything is exact rational arithmetic.  Binary operations truncate to the
 shorter operand and no operation ever extends precision, so a coefficient
 that is present is always correct.
 
-Inverse, exponential and rational power are one integer kernel, J. C. P.
-Miller's power recurrence over a running lcm denominator (:func:`_miller`).
+Every power, integer or rational, the inverse and the exponential are one
+integer kernel, J. C. P. Miller's power recurrence over a running lcm
+denominator (:func:`_miller`); there is no second powering algorithm.
 Composition is Brent–Kung baby-step/giant-step and reversion is Newton
 iteration on ``f(h) = t`` (Brent & Kung, "Fast algorithms for manipulating
 formal power series", J. ACM 25(4), 1978).  All are exact, so
@@ -151,42 +152,36 @@ class Series:
     __rmul__ = __mul__
 
     def inv(self) -> "Series":
-        """Multiplicative inverse; requires order 0.  :func:`_miller` inverts
-        the series over its constant term, then divides by that term again."""
-        if self.order() != 0:
-            raise ClassMismatchError("multiplicative inverse needs an invertible series (order 0)")
-        a0 = self._coeffs[0]
-        out = _miller([c / a0 for c in self._coeffs], 0, -1, 1)
-        return Series([c / a0 for c in out])
-
-    def int_pow(self, m: int) -> "Series":
-        """m-fold product; ``m < 0`` inverts first and needs order 0."""
-        if m < 0:
-            return self.inv().int_pow(-m)
-        result = Series.constant(1, self.trunc)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        """Multiplicative inverse, the power ``-1``; requires order 0."""
+        return self.rat_pow(-1)
 
     def rat_pow(self, alpha: RationalLike) -> "Series":
-        """Power with rational exponent, integer or not, in one :func:`_miller`
-        pass; needs ``c_0 = 1``."""
-        if self._coeffs[0] != 1:
-            raise ClassMismatchError("rational power needs constant term 1")
+        """``self ** alpha`` for every exponent, by the one power kernel
+        :func:`_miller`.
+
+        A non-integer ``alpha`` needs ``c_0 = 1``.  An integer ``m`` takes any
+        series of order 0, as ``c_0^m (self/c_0)^m``, and for ``m >= 0`` any
+        series of order ``v >= 1``, as ``t^(vm) (self/t^v)^m``.
+        """
         alpha = Fraction(alpha)
         p, q = alpha.numerator, alpha.denominator
-        return Series(_miller(self._coeffs, p + q, -q, q))
+        a, n = self._coeffs, len(self._coeffs)
+        if a[0] == 1:
+            return Series(_miller(a, p + q, -q, q))
+        if q != 1:
+            raise ClassMismatchError("rational power needs constant term 1")
+        if a[0]:
+            scale = a[0] ** p
+            return Series([c * scale for c in _miller([c / a[0] for c in a], p + 1, -1, 1)])
+        if p < 0:
+            raise ClassMismatchError("multiplicative inverse needs an invertible series (order 0)")
+        v = self.order()
+        if p == 0 or v is None or v * p >= n:
+            return Series.constant(1 if p == 0 else 0, n)
+        shift = v * p
+        return Series([0] * shift + list(Series(a[v:v + n - shift]).rat_pow(p)._coeffs))
 
-    def __pow__(self, exponent: RationalLike) -> "Series":
-        e = Fraction(exponent)
-        if e.denominator == 1:
-            return self.int_pow(e.numerator)
-        return self.rat_pow(e)
+    __pow__ = rat_pow
 
     # -- transcendental operations ---------------------------------------
 
@@ -196,7 +191,10 @@ class Series:
             raise ClassMismatchError("series logarithm needs constant term 1")
         if self.trunc == 1:
             return Series([0])
-        return (self.derivative() * self.inv())._integrated()
+        # the antiderivative of s'/s with zero constant term; its truncation
+        # grows by one, which exactly undoes derivative()
+        quotient = self.derivative() * self.inv()
+        return Series([Fraction(0)] + [c / (k + 1) for k, c in enumerate(quotient._coeffs)])
 
     def exp(self) -> "Series":
         """Series exponential by :func:`_miller` (``E' = E s'``); requires
@@ -212,12 +210,6 @@ class Series:
         if self.trunc < 2:
             raise OutOfRangeError("derivative of a single-coefficient series is undetermined")
         return Series([(k + 1) * c for k, c in enumerate(self._coeffs[1:])])
-
-    def _integrated(self) -> "Series":
-        # antiderivative with zero constant term; truncation grows by one,
-        # which exactly undoes derivative() (private: callers must not use
-        # this to manufacture precision)
-        return Series([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self._coeffs)])
 
     # -- composition -----------------------------------------------------
 

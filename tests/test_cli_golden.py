@@ -1,9 +1,9 @@
 """Byte identity of the CLI: the sha256 of stdout and the exit code, per command.
 
-Every table family and every identity, each in all three formats, is pinned
-at a small size, so a change that moves one output byte fails here.  Each
-digest is ``sha256(stdout.encode("utf-8"))``; regenerate one only for an
-intended output change.
+Every table family and every identity, each in all three formats, and three
+integer series powers are pinned at a small size, so a change that moves one
+output byte fails here.  Each digest is ``sha256(stdout.encode("utf-8"))``;
+regenerate one only for an intended output change.
 """
 
 from __future__ import annotations
@@ -111,6 +111,14 @@ GOLDEN = {
         (0, "714ce8a3aa3fe3fb0dba75e634e04b8676fa7caed1ea991cce2b18cfb435cdfc"),
     "verify xcheck --n-max 5 --m-max 2 --family mittag-leffler --format json":
         (0, "d21a86d901b5d5fc884cb6340f21fa98f0acd7a94b323a0346e83de818f5359d"),
+    # integer powers: order >= 1, a constant term other than 1, and a negative
+    # power of order 1, which is a usage error
+    "series pow --coeffs 0,1 --alpha 2 --trunc 4":
+        (0, "e6f8472639d0cc612b266849ca2e0e792610227228b2f75f9bb3471b42fa116f"),
+    "series pow --coeffs 2,1 --alpha -2 --trunc 4":
+        (0, "3991c1e1b94f66a13e20de9812059e0f7850bc485536d212624e060dffa4ec1b"),
+    "series pow --coeffs 0,1 --alpha -1":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 

@@ -108,22 +108,9 @@ def test_inv_rejects_delta_series():
 # -- integer powers --------------------------------------------------------------------
 
 
-def test_int_pow_square():
-    assert Series.from_text("1,1", trunc=4).int_pow(2) == Series.from_text("1,2,1,0")
-
-
-def test_int_pow_zero_is_one():
-    assert Series.from_text("0,5,-3").int_pow(0) == Series.constant(1, 3)
-
-
-def test_int_pow_negative():
-    base = Series([F(1, math.factorial(k + 1)) for k in range(3)])
-    assert base.int_pow(-1) == Series.from_text("1,-1/2,1/12")
-
-
-def test_int_pow_negative_rejects_delta():
-    with pytest.raises(ClassMismatchError):
-        Series.t(4).int_pow(-2)
+def test_negative_power_rejects_delta():
+    with pytest.raises(ClassMismatchError, match="invertible series"):
+        Series.t(4) ** -2
 
 
 # -- log and exp -------------------------------------------------------------------------
@@ -160,11 +147,6 @@ def test_exp_requires_positive_order():
 # -- rational powers -----------------------------------------------------------------------
 
 
-def test_rat_pow_integer_agrees_with_int_pow():
-    s = Series.from_text("1,1", trunc=4)
-    assert s.rat_pow(2) == s.int_pow(2)
-
-
 def test_rat_pow_zero_exponent():
     assert Series.from_text("1,2,3").rat_pow(0) == Series.constant(1, 3)
 
@@ -178,12 +160,6 @@ def test_rat_pow_square_root():
 def test_rat_pow_requires_unit_constant_term():
     with pytest.raises(ClassMismatchError):
         Series.from_text("2,1").rat_pow(F(1, 2))
-
-
-def test_pow_operator_dispatch():
-    s = Series.from_text("1,1", trunc=5)
-    assert s ** 3 == s.int_pow(3)
-    assert s ** F(1, 2) == s.rat_pow(F(1, 2))
 
 
 # -- composition --------------------------------------------------------------------------
@@ -470,6 +446,28 @@ def test_rat_pow_matches_power_oracle(tail, p, q):
     n = s.trunc
     root = s.rat_pow(F(p, q))
     assert conv_power(root.coeffs, q, n) == conv_power(s.coeffs, p, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.one_of(wide_nonzero, st.just(F(0))), wide_lists(0, 12),
+       st.integers(-4, 6))
+@example(0, F(1), [F(1), F(0), F(0)], 2)  # (1 + t)^2 = 1 + 2t + t^2
+@example(1, F(5), [F(-3)], 0)  # any power 0 is the constant 1
+@example(0, F(1), [F(1, 2), F(1, 6)], -1)  # inverse of (e^t - 1)/t
+@example(0, F(-2, 3), [F(1), F(0), F(4)], -3)  # c_0 other than 1
+@example(2, F(1), [F(0), F(7)], 2)  # t^4 (1 + 7t^2) at trunc 5
+@example(1, F(3), [F(1), F(2)], 4)  # t^4 at trunc 4: all zeros
+@example(4, F(0), [F(0)] * 3, 0)  # all-zero series
+@example(4, F(0), [F(0)] * 3, 2)
+def test_integer_power_matches_conv_power(zeros, lead, tail, m):
+    # any c_0 at order 0, order >= 1 and all-zero series; a negative power
+    # needs order 0
+    s = Series([F(0)] * zeros + [lead] + tail)
+    if m < 0 and s.order() != 0:
+        with pytest.raises(ClassMismatchError, match="invertible series"):
+            s ** m
+    else:
+        assert (s ** m).coeffs == tuple(conv_power(s.coeffs, m, s.trunc))
 
 
 @settings(max_examples=40, deadline=None)

@@ -115,7 +115,7 @@ def test_operator_degree_bound():
 def test_operator_squared_bernoulli_shift():
     # (t/(1-e^{-t}))^2 sends x to x + 1
     base = Series([F(0)] + [F(-((-1) ** k), math.factorial(k)) for k in range(1, 6)])
-    op = (Series(base.coeffs[1:]).inv()).int_pow(2)
+    op = Series(base.coeffs[1:]) ** -2
     assert apply_operator(op, monomial(1)) == (1, 1)
 
 
