@@ -58,11 +58,13 @@ INTERPRETATIONS = ("literal", "indexed")
 # the family whose closed triangle gives each identity's left side
 LHS_FAMILY = {T1: "rising-factorial", T2: "lah", T3: "abel", REMARK: "mittag-leffler"}
 
-# The most compositions one remark case may enumerate.  ``verify("remark", ...)``
-# checks its largest case, C(n_max - 1 + 2 m_max - 1, 2 m_max - 1), against it
-# before any work; the benchmark's largest is 1287 (n_max = 9, m_max = 3) and a
-# case at the cap takes seconds.
-REMARK_MAX_COMPOSITIONS = 10**6
+# The most factor products the right sides of one ``verify`` call may take:
+# over every n, m, k and reading, the C(n - k + wm - 1, wm - 1) compositions
+# of n - k into wm parts times their wm factors, with w = 2 for the remark
+# and 1 otherwise.  ``verify`` checks the grid against it before any work;
+# the benchmark's largest grids are 75,412 (t1/t2 at 16, 4) and 88,176
+# (remark at 9, 3, both readings).
+MAX_FACTOR_PRODUCTS = 10**6
 
 
 def _check_grid_point(n: int, k: int, m: int) -> None:
@@ -72,14 +74,18 @@ def _check_grid_point(n: int, k: int, m: int) -> None:
         raise InvalidParameterError(f"k={k} outside 1..{n}")
 
 
-def _check_remark_size(n_max: int, m_max: int) -> None:
-    top, low = n_max + 2 * m_max - 2, min(n_max - 1, 2 * m_max - 1)
-    # C(top, low) >= 2^low because top >= 2 low, so a large low is over the
-    # cap without computing the binomial
-    if low >= REMARK_MAX_COMPOSITIONS.bit_length() or math.comb(top, low) > REMARK_MAX_COMPOSITIONS:
-        raise InvalidParameterError(
-            f"remark with n_max={n_max}, m_max={m_max} enumerates more than"
-            f" {REMARK_MAX_COMPOSITIONS} compositions in one case")
+def _check_walk_size(identity: str, n_max: int, m_max: int) -> None:
+    width, readings = (2, len(INTERPRETATIONS)) if identity == REMARK else (1, 1)
+    total = 0
+    for n in range(1, n_max + 1):
+        for m in range(1, m_max + 1):
+            parts = width * m
+            # the sum over k = 1..n of C(n - k + parts - 1, parts - 1)
+            total += readings * parts * math.comb(n - 1 + parts, parts)
+            if total > MAX_FACTOR_PRODUCTS:
+                raise InvalidParameterError(
+                    f"{identity.lower()} with n_max={n_max}, m_max={m_max} walks compositions"
+                    f" with more than {MAX_FACTOR_PRODUCTS} factor products")
 
 
 def _lhs_point(identity: str, n: int, k: int, m: int, a: Optional[RationalLike] = None) -> Fraction:
@@ -404,8 +410,8 @@ def verify(identity: str, n_max: int, m_max: int, *,
         raise InvalidParameterError(f"identity {identity.lower()} takes no family")
     if a is not None and identity in (T1, T2, REMARK):
         raise InvalidParameterError(f"identity {identity.lower()} takes no parameter a")
-    if identity == REMARK:
-        _check_remark_size(n_max, m_max)
+    if identity in LHS_FAMILY:
+        _check_walk_size(identity, n_max, m_max)
 
     params: Dict[str, object] = {"n_max": n_max, "m_max": m_max}
     if identity == XCHECK:

@@ -181,10 +181,11 @@ def test_verify_remark_exits_one_but_reports(capsys):
     assert failing and all("diagnostics" in c for c in failing)
 
 
-def test_verify_remark_over_the_size_limit_is_a_usage_error(capsys):
+@pytest.mark.parametrize("identity, n_max, m_max", [("remark", "30", "10"), ("t1", "30", "8")])
+def test_verify_over_the_size_limit_is_a_usage_error(capsys, identity, n_max, m_max):
     special._bernoulli_series.cache_clear()
     special._euler_series.cache_clear()
-    code, out, err = run(capsys, "verify", "remark", "--n-max", "30", "--m-max", "10")
+    code, out, err = run(capsys, "verify", identity, "--n-max", n_max, "--m-max", m_max)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "compositions" in err
     assert special._bernoulli_series.cache_info().misses == 0

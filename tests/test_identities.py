@@ -290,21 +290,32 @@ def test_literal_remark_builds_one_series_per_order():
     assert special._euler_series.cache_info().misses <= 2
 
 
-def test_remark_size_limit_counts_the_largest_case(monkeypatch):
-    # n_max = 9, m_max = 3: compositions of 8 into 6 parts, C(13, 5) = 1287
-    assert identities.REMARK_MAX_COMPOSITIONS >= 500 * 1287
-    monkeypatch.setattr(identities, "REMARK_MAX_COMPOSITIONS", 1286)
-    with pytest.raises(InvalidParameterError, match="1286 compositions"):
-        verify("remark", 9, 3)
-    monkeypatch.setattr(identities, "REMARK_MAX_COMPOSITIONS", 1287)
-    assert len(verify("remark", 9, 3).cases) == 2 * 3 * 45
+def test_walk_size_limit_sums_every_factor_product(monkeypatch):
+    # over every n, m, k and reading: C(n - k + wm - 1, wm - 1) compositions of
+    # wm factors each, w = 2 for the remark (two readings) and 1 for t1
+    def products(width, readings, n_max, m_max):
+        return sum(readings * width * m * math.comb(n - k + width * m - 1, width * m - 1)
+                   for n in range(1, n_max + 1) for m in range(1, m_max + 1)
+                   for k in range(1, n + 1))
+
+    grids = {("t1", 16, 4): products(1, 1, 16, 4), ("remark", 9, 3): products(2, 2, 9, 3)}
+    assert list(grids.values()) == [75412, 88176]
+    assert identities.MAX_FACTOR_PRODUCTS >= 10 * 88176
+    for (identity, n_max, m_max), total in grids.items():
+        monkeypatch.setattr(identities, "MAX_FACTOR_PRODUCTS", total - 1)
+        with pytest.raises(InvalidParameterError, match=f"more than {total - 1} factor products"):
+            verify(identity, n_max, m_max)
+        monkeypatch.setattr(identities, "MAX_FACTOR_PRODUCTS", total)
+        assert verify(identity, n_max, m_max).cases
 
 
-def test_remark_size_limit_comes_before_any_series():
+def test_walk_size_limit_comes_before_any_series():
     clear_series_caches()
-    for n_max, m_max in ((30, 10), (10**6, 10**6), (2, 10**7)):
+    for identity, n_max, m_max in (("remark", 30, 10), ("remark", 10**6, 10**6),
+                                   ("remark", 2, 10**7), ("remark", 1, 10**6),
+                                   ("t1", 30, 8), ("t2", 10**6, 1), ("t3", 10**6, 10**6)):
         with pytest.raises(InvalidParameterError, match="compositions"):
-            verify("remark", n_max, m_max)
+            verify(identity, n_max, m_max)
     assert special._bernoulli_series.cache_info().misses == 0
     assert special._euler_series.cache_info().misses == 0
 
