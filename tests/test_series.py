@@ -455,8 +455,8 @@ def test_rat_pow_matches_power_oracle(tail, p, q):
 @example(1, F(5), [F(-3)], 0)  # any power 0 is the constant 1
 @example(0, F(1), [F(1, 2), F(1, 6)], -1)  # inverse of (e^t - 1)/t
 @example(0, F(-2, 3), [F(1), F(0), F(4)], -3)  # c_0 other than 1
-@example(2, F(1), [F(0), F(7)], 2)  # t^4 (1 + 7t^2) at trunc 5
-@example(1, F(3), [F(1), F(2)], 4)  # t^4 at trunc 4: all zeros
+@example(2, F(1), [F(0), F(7)], 2)  # (t^2 + 7t^4)^2 at trunc 5
+@example(1, F(3), [F(1), F(2)], 4)  # (3t + t^2 + 2t^3)^4 at trunc 4: all zeros
 @example(4, F(0), [F(0)] * 3, 0)  # all-zero series
 @example(4, F(0), [F(0)] * 3, 2)
 def test_integer_power_matches_conv_power(zeros, lead, tail, m):
