@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import UmbralError
-from .identities import verify
+from .identities import IDENTITY_IDS, verify
 from .rationals import format_rational, parse_rational
 from .series import Series
 from .sheffer import FAMILIES
@@ -29,7 +29,7 @@ SERIES_OPS = ("revert", "compose", "pow", "bernoulli-gf", "euler-gf")
 # the series operations that each of these options applies to
 SERIES_OPTIONS = {"coeffs": ("revert", "compose", "pow"), "inner": ("compose",),
                   "alpha": ("pow", "bernoulli-gf", "euler-gf")}
-IDENTITIES = ("t1", "t2", "t3", "remark", "xcheck")
+IDENTITIES = tuple(identity.lower() for identity in IDENTITY_IDS)
 FORMATS = ("plain", "csv", "json")
 # options whose value may start with "-" and still not be a plain number
 SIGNED_VALUE_OPTIONS = ("--a", "--coeffs", "--inner", "--alpha")

@@ -13,10 +13,12 @@ that list.
 The paper writes all four right sides in one shape: a multinomial times a
 chain of per-part factors, each depending on its part and on the order
 left before it.  One walker, :func:`_chain_side`, sums that shape for
-every identity, and what differs lives in its factor tables:
+every identity, and one spec, :func:`_readings`, is the only place that
+knows each identity's factors, block width and readings:
 
 - t1: (-1)^p B_p^{(order)};
-- t2: (-1)^{p + order}, with the sum multiplied by n!/k!;
+- t2: (-1)^{p + order} order!/(order - p)!, whose falling factorials
+  multiply to the n!/k! in front of the paper's sum;
 - t3: (-a order)^p;
 - remark: blocks of two parts, E^{(-order)} and B^{(order)} 2^{order},
   indexed by the parts or, under the literal reading, by the block.
@@ -25,11 +27,12 @@ Per n, each table holds exactly the factors that the compositions of that
 n can reach, one ``bernoulli_high``/``euler_high`` call per entry (the
 literal remark reading reads one series per order instead), scaled to
 integers over its lcm denominator.  Each case is then an integer sum with
-one ``Fraction``.  The tables live for one call and the right side never
-touches a triangle.  Only the remark keeps its per-composition terms, as
-diagnostics of a failing case.  ``t1_rhs`` .. ``remark_rhs`` are
-single-case calls of the same walker; ``t1_lhs`` .. ``remark_lhs`` are
-uncached point evaluators.
+one ``Fraction``, and that sum is the whole right side.  The tables live
+for one call and the right side never touches a triangle.  Every case
+keeps its per-composition terms, and a failing case of any identity lists
+them as diagnostics.  ``t1_rhs`` .. ``remark_rhs`` are single-case calls
+of the same walker, under the same size cap as ``verify``; ``t1_lhs`` ..
+``remark_lhs`` are uncached point evaluators.
 """
 
 from __future__ import annotations
@@ -58,12 +61,12 @@ INTERPRETATIONS = ("literal", "indexed")
 # the family whose closed triangle gives each identity's left side
 LHS_FAMILY = {T1: "rising-factorial", T2: "lah", T3: "abel", REMARK: "mittag-leffler"}
 
-# The most factor products the right sides of one ``verify`` call may take:
-# over every n, m, k and reading, the C(n - k + wm - 1, wm - 1) compositions
-# of n - k into wm parts times their wm factors, with w = 2 for the remark
-# and 1 otherwise.  ``verify`` checks the grid against it before any work;
-# the benchmark's largest grids are 75,412 (t1/t2 at 16, 4) and 88,176
-# (remark at 9, 3, both readings).
+# The most factor products one ``verify`` call or one single-case right side
+# may take: over every case and reading, the C(n - k + wm - 1, wm - 1)
+# compositions of n - k into wm parts times their wm factors, w being the
+# reading's block width (2 for the remark, 1 otherwise).  Both check it
+# before any work; the benchmark's largest grids are 75,412 (t1/t2 at 16, 4)
+# and 88,176 (remark at 9, 3, both readings).
 MAX_FACTOR_PRODUCTS = 10**6
 
 
@@ -74,18 +77,18 @@ def _check_grid_point(n: int, k: int, m: int) -> None:
         raise InvalidParameterError(f"k={k} outside 1..{n}")
 
 
-def _check_walk_size(identity: str, n_max: int, m_max: int) -> None:
-    width, readings = (2, len(INTERPRETATIONS)) if identity == REMARK else (1, 1)
+def _check_walk_size(where: str, readings, grid) -> None:
+    # grid yields (n, m, ks), ks a range of k; by Pascal's rule the compositions
+    # of the cases k in ks sum to a difference of two binomials
     total = 0
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            parts = width * m
-            # the sum over k = 1..n of C(n - k + parts - 1, parts - 1)
-            total += readings * parts * math.comb(n - 1 + parts, parts)
+    for n, m, ks in grid:
+        for factors, _ in readings.values():
+            parts = len(factors) * m
+            total += parts * (math.comb(n - ks.start + parts, parts)
+                              - math.comb(n - ks.stop + parts, parts))
             if total > MAX_FACTOR_PRODUCTS:
                 raise InvalidParameterError(
-                    f"{identity.lower()} with n_max={n_max}, m_max={m_max} walks compositions"
-                    f" with more than {MAX_FACTOR_PRODUCTS} factor products")
+                    f"{where} walks compositions with more than {MAX_FACTOR_PRODUCTS} factor products")
 
 
 def _lhs_point(identity: str, n: int, k: int, m: int, a: Optional[RationalLike] = None) -> Fraction:
@@ -107,13 +110,13 @@ def _chain_side(n: int, m_max: int, factors, literal: bool = False):
     where part j of block i is k_{wi+j+1}, S_i is the sum of the parts before
     block i, so n - S_i is the order still left, and the column c_ij is the
     part itself, or the block index i under the ``literal`` remark reading.
-    ``terms()`` lists each composition with its term.
+    ``terms()`` lists each composition with its term, for diagnostics.
 
     The paper writes t1, t2 and t3 with the order left after each part, n
     minus a suffix sum.  Reversing a composition maps the compositions of
     n - k into m parts onto themselves, keeps the multinomial and turns
     each suffix sum into a prefix sum, so the prefix form here sums the
-    same terms.
+    same terms, each at the reversed composition.
 
     Each factor is tabulated once, at every prefix sum that can start a
     block (only 0 unless m_max > 1) and every column the compositions
@@ -151,29 +154,6 @@ def _chain_side(n: int, m_max: int, factors, literal: bool = False):
     return case
 
 
-def _t1_side(n: int, m_max: int):
-    def factor(p: int, order: int) -> Fraction:
-        # (-1)^p B_p^{(order)}: the signs of the parts multiply to (-1)^{n-k}
-        value = bernoulli_high(p, order)
-        return -value if p % 2 else value
-
-    side = _chain_side(n, m_max, [factor])
-    return lambda k, m: (side(k, m)[0], None)
-
-
-def _t2_side(n: int, m_max: int):
-    # reversed as in _chain_side, the sign exponent of t2_rhs is k plus
-    # n - S_j for every part j but the first, S_j the sum of the parts before
-    # it; that has the parity of the sum of k_j + n - S_j over all parts
-    side = _chain_side(n, m_max, [lambda p, order: (-1) ** (p + order)])
-    return lambda k, m: (side(k, m)[0] * (math.factorial(n) // math.factorial(k)), None)
-
-
-def _t3_side(n: int, m_max: int, a: Fraction):
-    side = _chain_side(n, m_max, [lambda p, order: (-a * order) ** p])
-    return lambda k, m: (side(k, m)[0], None)
-
-
 def _series_factor(gf, trunc: int):
     # the egf coefficients of gf(order, trunc): one series per order, kept by
     # the returned function
@@ -187,23 +167,47 @@ def _series_factor(gf, trunc: int):
     return factor
 
 
-def _remark_readings(m_max: int):
-    """Per reading, the factors of a block (e, b) and whether it is literal.
+def _readings(identity: str, m_max: int, a: Optional[Fraction]):
+    """The factors of ``identity``'s right side for m <= m_max, per reading.
 
-    With S the sum of the parts before the block, a block contributes
-    E_e^{(S - n)} B_b^{(n - S)} 2^{n - S}; the 2^{n - S} is folded into the
-    Bernoulli factor.  The literal reading takes the fixed indices 2i + 1
-    (Euler) and 2i + 2 (Bernoulli) for block i instead of e and b.  They
-    reach 2 m_max whatever the composition, so it reads one series per
+    Returns ``{interpretation: (factors, literal)}``, the arguments of
+    :func:`_chain_side` after n and m_max, with the key None for t1, t2 and
+    t3.  No factor is evaluated before ``_chain_side`` tabulates it.  The
+    t1 signs multiply to (-1)^{n-k}.  Reversed as in ``_chain_side``, the
+    t2 sign exponent is k plus n - S_j for every part j but the first, S_j
+    the sum of the parts before it, which has the parity of the sum of
+    p + order over all parts; its falling factorials telescope to n!/k!.
+    The literal remark indices 2i + 1 (Euler) and 2i + 2 (Bernoulli) reach
+    2 m_max whatever the composition, so that reading reads one series per
     order at that truncation, padded as ``bernoulli_high`` pads it.
     """
-    trunc = _padded_trunc(2 * m_max + 1)
-    euler = _series_factor(euler_series, trunc)
-    bernoulli = _series_factor(bernoulli_series, trunc)
-    return {"literal": ([lambda i, order: euler(2 * i + 1, -order),
-                         lambda i, order: bernoulli(2 * i + 2, order) * 2 ** order], True),
-            "indexed": ([lambda e, order: euler_high(e, -order),
-                         lambda b, order: bernoulli_high(b, order) * 2 ** order], False)}
+    if identity == REMARK:
+        trunc = _padded_trunc(2 * m_max + 1)
+        euler = _series_factor(euler_series, trunc)
+        bernoulli = _series_factor(bernoulli_series, trunc)
+        literal, indexed = INTERPRETATIONS
+        return {literal: ([lambda i, order: euler(2 * i + 1, -order),
+                           lambda i, order: bernoulli(2 * i + 2, order) * 2 ** order], True),
+                indexed: ([lambda e, order: euler_high(e, -order),
+                           lambda b, order: bernoulli_high(b, order) * 2 ** order], False)}
+    factor = {T1: lambda p, order: (-1) ** p * bernoulli_high(p, order),
+              T2: lambda p, order: (-1) ** (p + order) * math.perm(order, p),
+              T3: lambda p, order: (-a * order) ** p}[identity]
+    return {None: ([factor], False)}
+
+
+def _rhs_case(identity: str, n: int, k: int, m: int, a: Optional[RationalLike] = None,
+              interpretation: Optional[str] = None):
+    """One right-side case as ``(value, terms)``, refused before any table
+    when it walks more than ``MAX_FACTOR_PRODUCTS`` factor products."""
+    _check_grid_point(n, k, m)
+    readings = _readings(identity, m, family(LHS_FAMILY[identity], a).a)
+    if interpretation not in readings:
+        raise InvalidParameterError(f"unknown interpretation {interpretation!r}")
+    reading = readings[interpretation]
+    _check_walk_size(f"{identity.lower()} at n={n}, k={k}, m={m}", {interpretation: reading},
+                     [(n, m, range(k, k + 1))])
+    return _chain_side(n, m, *reading)(k, m)
 
 
 # -- unsigned Stirling identity ------------------------------------------------
@@ -221,8 +225,7 @@ def t1_rhs(n: int, k: int, m: int) -> Fraction:
     (-1)^{n-k} multinomial(n-1; k_1..k_m, k-1) * prod_j B_{k_j} of order
     n minus the already-consumed suffix k_{j+1} + ... + k_m.
     """
-    _check_grid_point(n, k, m)
-    return _t1_side(n, m)(k, m)[0]
+    return _rhs_case(T1, n, k, m)[0]
 
 
 # -- Lah identity ----------------------------------------------------------------
@@ -235,9 +238,9 @@ def t2_lhs(n: int, k: int, m: int) -> Fraction:
 
 def t2_rhs(n: int, k: int, m: int) -> Fraction:
     """Composition sum (n!/k!) * multinomial with a sign (-1)^e, the exponent
-    e built from the m - 1 suffix partial sums of the composition, plus k."""
-    _check_grid_point(n, k, m)
-    return _t2_side(n, m)(k, m)[0]
+    e built from the m - 1 suffix partial sums of the composition, plus k;
+    the n!/k! is taken inside the sum, one falling factorial per part."""
+    return _rhs_case(T2, n, k, m)[0]
 
 
 # -- Abel identity ------------------------------------------------------------------
@@ -250,8 +253,7 @@ def t3_lhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
 
 def t3_rhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
     """Composition sum with factors (-a * remaining-order)^{k_i}."""
-    _check_grid_point(n, k, m)
-    return _t3_side(n, m, family(LHS_FAMILY[T3], a).a)(k, m)[0]
+    return _rhs_case(T3, n, k, m, a)[0]
 
 
 # -- Mittag-Leffler identity (both printed readings) -----------------------------------
@@ -260,13 +262,6 @@ def t3_rhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
 def remark_lhs(n: int, k: int, m: int) -> Fraction:
     """(n, k) entry of the m-th matrix power of the Mittag-Leffler triangle."""
     return _lhs_point(REMARK, n, k, m)
-
-
-def _remark_case(n: int, k: int, m: int, interpretation: str):
-    _check_grid_point(n, k, m)
-    if interpretation not in INTERPRETATIONS:
-        raise InvalidParameterError(f"unknown interpretation {interpretation!r}")
-    return _chain_side(n, m, *_remark_readings(m)[interpretation])(k, m)
 
 
 def remark_rhs_terms(n: int, k: int, m: int,
@@ -280,11 +275,11 @@ def remark_rhs_terms(n: int, k: int, m: int,
     composition entries k_{2i+1}, k_{2i+2}; under ``literal`` they are the
     fixed integers 2i+1, 2i+2.
     """
-    return _remark_case(n, k, m, interpretation)[1]()
+    return _rhs_case(REMARK, n, k, m, interpretation=interpretation)[1]()
 
 
 def remark_rhs(n: int, k: int, m: int, interpretation: str) -> Fraction:
-    return _remark_case(n, k, m, interpretation)[0]
+    return _rhs_case(REMARK, n, k, m, interpretation=interpretation)[0]
 
 
 # -- reports ------------------------------------------------------------------------
@@ -365,7 +360,7 @@ class IdentityReport:
         for c in self.cases:
             if c.diagnostics is not None and not c.equal:
                 yield (f"diagnostics for n={c.n} m={c.m} k={c.k}"
-                       f" [{c.interpretation}]: lhs={format_rational(c.lhs)}")
+                       f" [{c.interpretation or '-'}]: lhs={format_rational(c.lhs)}")
                 for parts, value in c.diagnostics:
                     yield f"  composition {parts}: {format_rational(value)}"
         yield f"all_equal: {'true' if self.all_equal else 'false'}"
@@ -375,8 +370,8 @@ def _walk(n_max, m_max, powers, side, low=1, interpretation=None):
     """Compare entry (n, k) of ``powers[m - 1]`` with the right side in
     (n, m, k) order over low <= k <= n <= n_max, 1 <= m <= m_max.
     ``side(n)`` builds the right side for one n; its ``case(k, m)`` returns
-    the value and a function listing the per-composition terms, or None.
-    Only a mismatch lists them, as diagnostics.
+    the value and a function listing the per-composition terms, or None
+    (xcheck).  Only a mismatch lists them, as diagnostics.
     """
     cases = []
     for n in range(low, n_max + 1):
@@ -410,35 +405,31 @@ def verify(identity: str, n_max: int, m_max: int, *,
         raise InvalidParameterError(f"identity {identity.lower()} takes no family")
     if a is not None and identity in (T1, T2, REMARK):
         raise InvalidParameterError(f"identity {identity.lower()} takes no parameter a")
-    if identity in LHS_FAMILY:
-        _check_walk_size(identity, n_max, m_max)
 
+    # the right side per interpretation (None when the identity has one reading)
     params: Dict[str, object] = {"n_max": n_max, "m_max": m_max}
     if identity == XCHECK:
         if family_name is None:
             raise InvalidParameterError("xcheck needs a family")
         fam = family(family_name, a=a)
         params["family"] = fam.name
-    else:
-        fam = family(LHS_FAMILY[identity], 1 if identity == T3 and a is None else a)
-    if fam.a is not None:
-        params["a"] = format_rational(fam.a)
-    powers = fam.closed_triangle(n_max).powers(m_max)
-
-    # the right side per interpretation (None when the identity has one reading)
-    if identity == REMARK:
-        params["interpretations"] = ",".join(INTERPRETATIONS)
-        readings = _remark_readings(m_max)
-        sides = {i: lambda n, reading=readings[i]: _chain_side(n, m_max, *reading)
-                 for i in INTERPRETATIONS}
-    elif identity == XCHECK:
         pair = fam.pair(n_max + 1)
         gf = [umbral_power_gf(pair, m, n_max) for m in range(1, m_max + 1)]
         sides = {None: lambda n: lambda k, m: (gf[m - 1].entry(n, k), None)}
     else:
-        sides = {None: {T1: lambda n: _t1_side(n, m_max),
-                        T2: lambda n: _t2_side(n, m_max),
-                        T3: lambda n: _t3_side(n, m_max, fam.a)}[identity]}
+        fam = family(LHS_FAMILY[identity], 1 if identity == T3 and a is None else a)
+        readings = _readings(identity, m_max, fam.a)
+        _check_walk_size(f"{identity.lower()} with n_max={n_max}, m_max={m_max}", readings,
+                         ((n, m, range(1, n + 1))
+                          for n in range(1, n_max + 1) for m in range(1, m_max + 1)))
+        sides = {i: lambda n, reading=reading: _chain_side(n, m_max, *reading)
+                 for i, reading in readings.items()}
+    if fam.a is not None:
+        params["a"] = format_rational(fam.a)
+    if None not in sides:
+        params["interpretations"] = ",".join(sides)
+    powers = fam.closed_triangle(n_max).powers(m_max)
+
     low = 0 if identity == XCHECK else 1
     cases = [case for interpretation, side in sides.items()
              for case in _walk(n_max, m_max, powers, side, low, interpretation)]

@@ -177,8 +177,7 @@ def test_verify_remark_exits_one_but_reports(capsys):
     assert obj["all_equal"] is False
     interpretations = {c["interpretation"] for c in obj["cases"]}
     assert interpretations == {"literal", "indexed"}
-    failing = [c for c in obj["cases"] if not c["equal"]]
-    assert failing and all("diagnostics" in c for c in failing)
+    assert all(("diagnostics" in c) == (not c["equal"]) for c in obj["cases"])
 
 
 @pytest.mark.parametrize("identity, n_max, m_max", [("remark", "30", "10"), ("t1", "30", "8")])

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from umbral import remark_rhs, remark_rhs_terms, t1_rhs, t2_rhs, t3_rhs, verify
-from umbral.identities import INTERPRETATIONS
+from umbral.identities import INTERPRETATIONS, T1, T2, T3, _rhs_case
 
 from oracles import composition_sum, composition_terms, higher_order_number
 
@@ -49,6 +49,13 @@ def remark_blocks(n, indexed):
     return product
 
 
+def assert_reversed_terms(identity, n, k, m, expected, *a):
+    # the package sums the prefix form of the paper's suffix-form sum, so each
+    # of its terms is the reference term of the reversed composition
+    terms = _rhs_case(identity, n, k, m, *a)[1]()
+    assert sorted((parts[::-1], term) for parts, term in terms) == sorted(expected)
+
+
 NONZERO = st.integers(-10**9, 10**9).filter(bool)
 ABEL_A = st.one_of(st.builds(F, NONZERO, st.integers(1, 10**9)),
                    st.builds(F, st.integers(-10**9, -1), st.integers(1, 10**9)))
@@ -61,6 +68,8 @@ def test_t1_rhs_is_the_reference_sum(point):
     sign = -1 if (n - k) % 2 else 1
     chain = suffix_chain(n, lambda p, order: higher_order_number("bernoulli", p, order))
     assert t1_rhs(n, k, m) == sign * composition_sum(n, k, m, chain)
+    assert_reversed_terms(T1, n, k, m, [(parts, sign * term)
+                                        for parts, term in composition_terms(n, k, m, chain)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,6 +85,8 @@ def test_t2_rhs_is_the_reference_sum(point):
     for j in range(k + 1, n + 1):
         base *= j
     assert t2_rhs(n, k, m) == base * composition_sum(n, k, m, sign)
+    assert_reversed_terms(T2, n, k, m, [(parts, base * term)
+                                        for parts, term in composition_terms(n, k, m, sign)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -84,6 +95,7 @@ def test_t3_rhs_is_the_reference_sum(point, a):
     n, k, m = point
     chain = suffix_chain(n, lambda p, order: (-a * order) ** p)
     assert t3_rhs(n, k, m, a) == composition_sum(n, k, m, chain)
+    assert_reversed_terms(T3, n, k, m, composition_terms(n, k, m, chain), a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,10 +116,12 @@ def test_verify_right_sides_are_the_single_case_values(identity, n_max, m_max, a
         n, k, m = case.n, case.k, case.m
         if identity == "remark":
             assert case.rhs == remark_rhs(n, k, m, case.interpretation)
-            if not case.equal:
-                assert case.diagnostics == remark_rhs_terms(n, k, m, case.interpretation)
         else:
             single = {"t1": t1_rhs, "t2": t2_rhs, "t3": t3_rhs}[identity]
             assert case.rhs == single(n, k, m, *((a,) if identity == "t3" else ()))
-            # only the remark lists per-composition terms
+        # a passing case lists no terms; a failing case of any identity lists
+        # them all, and only the literal remark fails unforced
+        if case.equal:
             assert case.diagnostics is None
+        else:
+            assert case.diagnostics == remark_rhs_terms(n, k, m, case.interpretation)

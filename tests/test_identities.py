@@ -249,6 +249,25 @@ def test_verify_remark_diagnostics_on_mismatch():
             assert all(len(parts) == 2 * case.m for parts, _ in case.diagnostics)
 
 
+@pytest.mark.parametrize("identity", ["t1", "t2", "t3"])
+def test_verify_diagnostics_on_a_forced_mismatch(monkeypatch, identity):
+    # the multinomial raised by 1 whenever a part is 1: those cases fail
+    real = identities.multinomial
+    monkeypatch.setattr(identities, "multinomial", lambda top, ks: real(top, ks) + (1 in ks[:-1]))
+    report = verify(identity, 4, 2)
+    failing = [case for case in report.cases if not case.equal]
+    assert failing and len(failing) < len(report.cases)
+    for case in report.cases:
+        if case.equal:
+            assert case.diagnostics is None
+        else:
+            assert sum((v for _, v in case.diagnostics), F(0)) == case.rhs
+            assert all(len(parts) == case.m for parts, _ in case.diagnostics)
+    lines = list(report.plain_lines())
+    assert sum(line.startswith("diagnostics for ") for line in lines) == len(failing)
+    assert not any("[None]" in line for line in lines)
+
+
 def test_verify_xcheck_families():
     for name, a in (("rising-factorial", None), ("lah-signed", None),
                     ("abel", F(1)), ("mittag-leffler", None)):
@@ -309,6 +328,24 @@ def test_walk_size_limit_sums_every_factor_product(monkeypatch):
         assert verify(identity, n_max, m_max).cases
 
 
+def test_single_case_size_limit_counts_its_own_compositions(monkeypatch):
+    # one case (n, k, m) under one reading: C(n - k + wm - 1, wm - 1)
+    # compositions of wm factors each, w = 2 for the remark and 1 otherwise
+    for call, width, (n, k, m) in ((t1_rhs, 1, (9, 2, 4)), (t2_rhs, 1, (8, 1, 3)),
+                                   (lambda *p: t3_rhs(*p, F(2, 3)), 1, (7, 3, 5)),
+                                   (lambda *p: remark_rhs_terms(*p, "indexed"), 2, (6, 1, 2)),
+                                   (lambda *p: remark_rhs(*p, "literal"), 2, (5, 2, 2))):
+        parts = width * m
+        total = parts * math.comb(n - k + parts - 1, parts - 1)
+        monkeypatch.setattr(identities, "MAX_FACTOR_PRODUCTS", total - 1)
+        with pytest.raises(InvalidParameterError,
+                           match=f"at n={n}, k={k}, m={m} walks compositions"
+                                 f" with more than {total - 1} factor products"):
+            call(n, k, m)
+        monkeypatch.setattr(identities, "MAX_FACTOR_PRODUCTS", total)
+        call(n, k, m)
+
+
 def test_walk_size_limit_comes_before_any_series():
     clear_series_caches()
     for identity, n_max, m_max in (("remark", 30, 10), ("remark", 10**6, 10**6),
@@ -316,6 +353,12 @@ def test_walk_size_limit_comes_before_any_series():
                                    ("t1", 30, 8), ("t2", 10**6, 1), ("t3", 10**6, 10**6)):
         with pytest.raises(InvalidParameterError, match="compositions"):
             verify(identity, n_max, m_max)
+    # one case of C(36, 7) = 8,347,680 compositions is refused as its grid is
+    for call in (lambda: t1_rhs(30, 1, 8), lambda: t2_rhs(30, 1, 8), lambda: t3_rhs(30, 1, 8, 2),
+                 lambda: remark_rhs(20, 1, 8, "literal"),
+                 lambda: remark_rhs_terms(20, 1, 8, "indexed")):
+        with pytest.raises(InvalidParameterError, match="compositions"):
+            call()
     assert special._bernoulli_series.cache_info().misses == 0
     assert special._euler_series.cache_info().misses == 0
 
