@@ -12,9 +12,8 @@ that list.
 
 The paper writes all four right sides in one shape: a multinomial times a
 chain of per-part factors, each depending on its part and on the order
-left before it.  One walker, :func:`_chain_side`, sums that shape for
-every identity, and one spec, :func:`_readings`, is the only place that
-knows each identity's factors, block width and readings:
+left before its block.  One spec, :func:`_readings`, is the only place
+that knows each identity's factors, block width and readings:
 
 - t1: (-1)^p B_p^{(order)};
 - t2: (-1)^{p + order} order!/(order - p)!, whose falling factorials
@@ -23,20 +22,26 @@ knows each identity's factors, block width and readings:
 - remark: blocks of two parts, E^{(-order)} and B^{(order)} 2^{order},
   indexed by the parts or, under the literal reading, by the block.
 
-Per n, each table holds exactly the factors that the compositions of that
-n can reach, one ``bernoulli_high``/``euler_high`` call per entry (the
-literal remark reading reads one series per order instead), scaled to
-integers over its lcm denominator.  Each case is then an integer sum with
-one ``Fraction``, and that sum is the whole right side.  The tables live
-for one call and the right side never touches a triangle.  Every case
-keeps its per-composition terms, and a failing case of any identity lists
-them as diagnostics.  ``t1_rhs`` .. ``remark_rhs`` are single-case calls
-of the same walker, under the same size cap as ``verify``; ``t1_lhs`` ..
-``remark_lhs`` are uncached point evaluators.
+Per n, each factor is tabulated at exactly the prefix sums and columns
+the cases can reach, one ``bernoulli_high``/``euler_high`` call per entry
+(the literal remark reading reads one series per order instead), and
+scaled to integers over its lcm denominator.  Since the multinomial
+splits into one factorial per part, :func:`_prefix_side` sums the shape
+with one integer vector over the consumed prefix, a block per step.  It
+lists only the compositions of one block's size into its w parts, never
+those of n - k, and each case is one ``Fraction``.  The tables live for
+one call and the right side never touches a triangle.  Only diagnostics
+list the compositions of n - k: the first failing case of an n, or an
+explicit request for terms, builds the walk :func:`_chain_side` over the
+same tables.  ``t1_rhs`` .. ``remark_rhs`` are single-case calls of the
+same recurrence, reaching only the prefix sums up to n - k, under the
+same size cap as ``verify``; ``t1_lhs`` .. ``remark_lhs`` are uncached
+point evaluators.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,11 +67,13 @@ INTERPRETATIONS = ("literal", "indexed")
 LHS_FAMILY = {T1: "rising-factorial", T2: "lah", T3: "abel", REMARK: "mittag-leffler"}
 
 # The most factor products one ``verify`` call or one single-case right side
-# may take: over every case and reading, the C(n - k + wm - 1, wm - 1)
+# may walk: over every case and reading, the C(n - k + wm - 1, wm - 1)
 # compositions of n - k into wm parts times their wm factors, w being the
 # reading's block width (2 for the remark, 1 otherwise).  Both check it
 # before any work; the benchmark's largest grids are 75,412 (t1/t2 at 16, 4)
-# and 88,176 (remark at 9, 3, both readings).
+# and 88,176 (remark at 9, 3, both readings).  The guard is unchanged: the
+# prefix recurrence that gives every value costs far less, and the guard now
+# bounds the diagnostics walk, whose output is that many terms.
 MAX_FACTOR_PRODUCTS = 10**6
 
 
@@ -99,59 +106,127 @@ def _lhs_point(identity: str, n: int, k: int, m: int, a: Optional[RationalLike] 
 # -- the right sides -----------------------------------------------------------------
 
 
-def _chain_side(n: int, m_max: int, factors, literal: bool = False):
-    """The right side of one n as ``case(k, m) -> (value, terms)``, for m <= m_max.
+def _factor_rows(n: int, top: int, m_max: int, factors, literal: bool):
+    # factors[j](c, n - s) at every prefix sum s <= top that can start a block
+    # (only 0 unless m_max > 1) and every column reached there: c <= top - s,
+    # or the block index c < m_max under the literal reading.  Returns the
+    # rows of each factor scaled to integers over its lcm denominator, and the
+    # product of those denominators
+    tables, den = [], 1
+    for factor in factors:
+        rows = [[factor(c, n - s) for c in (range(m_max) if literal else range(top - s + 1))]
+                for s in range(top + 1 if m_max > 1 else 1)]
+        flat, d = scaled_to_integers(value for row in rows for value in row)
+        values = iter(flat)
+        tables.append([list(islice(values, len(row))) for row in rows])
+        den *= d
+    return tables, den
 
-    With w = len(factors), the value is the sum over compositions
-    (k_1 .. k_wm) of n - k into m blocks of w parts of
+
+def _prefix_side(n: int, top: int, m_max: int, tables, den: int, literal: bool):
+    """The right side of one n as ``value(k, m)``, for m <= m_max and k >= n - top.
+
+    With w factors, the value is the sum over compositions (k_1 .. k_wm) of
+    n - k into m blocks of w parts of
 
         multinomial(n-1; k_1..k_wm, k-1) * prod_i prod_j factors[j](c_ij, n - S_i),
 
     where part j of block i is k_{wi+j+1}, S_i is the sum of the parts before
     block i, so n - S_i is the order still left, and the column c_ij is the
     part itself, or the block index i under the ``literal`` remark reading.
-    ``terms()`` lists each composition with its term, for diagnostics.
+
+    The multinomial splits as (n-1)!/((k-1)! prod k_j!), so each block's
+    share depends only on its parts and on S_i.  One vector over the consumed
+    prefix, V_0 = e_0, takes a block per step,
+
+        V_{i+1}[s + r] += V_i[s] * B_i[s][r],
+        B_i[s][r] = (1/r!) sum_{parts of r into w} multinomial(r; parts)
+                    * prod_j factors[j](c_j, n - s),
+
+    and the value is V_m[n - k] * (n-1)!/(k-1)!.  B_i depends on i only under
+    the literal reading.  Each B_i is scaled to integers over its lcm
+    denominator, so the steps are integer and a case is one ``Fraction``.
+    No composition of n - k is enumerated.
 
     The paper writes t1, t2 and t3 with the order left after each part, n
     minus a suffix sum.  Reversing a composition maps the compositions of
     n - k into m parts onto themselves, keeps the multinomial and turns
     each suffix sum into a prefix sum, so the prefix form here sums the
     same terms, each at the reversed composition.
-
-    Each factor is tabulated once, at every prefix sum that can start a
-    block (only 0 unless m_max > 1) and every column the compositions
-    reach there, and scaled to integers over its lcm denominator, so a case
-    is an integer sum with one ``Fraction``.
     """
-    width = len(factors)
-    tables, den = [], 1
-    for factor in factors:
-        rows = [[factor(c, n - s) for c in (range(m_max) if literal else range(n - s))]
-                for s in range(n if m_max > 1 else 1)]
-        flat, d = scaled_to_integers(value for row in rows for value in row)
-        values = iter(flat)
-        tables.append([list(islice(values, len(row))) for row in rows])
-        den *= d
+    width = len(tables)
 
-    def case(k: int, m: int):
-        # part j of block i: its table, its block and whether it ends the block
-        slots = [(tables[j], i, j == width - 1) for i in range(m) for j in range(width)]
-        listed, terms = [], []
+    def block(i: int):
+        entries = []
+        for s in range(len(tables[0])):
+            row = []
+            for r in range(top - s + 1):
+                total = 0
+                for parts in compositions(r, width):
+                    term = multinomial(r, parts).numerator
+                    for rows, part in zip(tables, parts):
+                        term *= rows[s][i if literal else part]
+                    total += term
+                row.append(Fraction(total, den * math.factorial(r)))
+            entries.append(row)
+        flat, d = scaled_to_integers(b for row in entries for b in row)
+        scaled = iter(flat)
+        return [list(islice(scaled, len(row))) for row in entries], d
+
+    vectors, vector, scale = [], [1] + [0] * top, 1
+    for i in range(m_max):
+        if i == 0 or literal:
+            table, d = block(i)
+        step = [0] * (top + 1)
+        for s, v in enumerate(vector):
+            if v:  # the first step reads row 0 alone, the only row at m_max = 1
+                for r, b in enumerate(table[s], s):
+                    step[r] += v * b
+        vector, scale = step, scale * d
+        vectors.append((vector, scale))
+
+    def value(k: int, m: int) -> Fraction:
+        vector, scale = vectors[m - 1]
+        return Fraction(vector[n - k] * (math.factorial(n - 1) // math.factorial(k - 1)), scale)
+
+    return value
+
+
+def _chain_side(n: int, tables, den: int, literal: bool):
+    """The terms of one n as ``terms(k, m)``, for diagnostics only.
+
+    Lists each composition of n - k into m blocks of w = len(tables) parts
+    with its term of :func:`_prefix_side`'s sum, read from the same integer
+    factor rows, in the lexicographic order of ``compositions``; a term is
+    an integer product with one ``Fraction``.
+    """
+    width = len(tables)
+
+    def terms(k: int, m: int):
+        listed = []
         for parts in compositions(n - k, width * m):
             term = multinomial(n - 1, parts + (k - 1,)).numerator
             used = row = 0
-            for (table, i, last), part in zip(slots, parts):
-                term *= table[row][i if literal else part]
+            for slot, part in enumerate(parts):
+                i, j = divmod(slot, width)
+                term *= tables[j][row][i if literal else part]
                 used += part
-                if last:
+                if j == width - 1:
                     row = used
-            listed.append(parts)
-            terms.append(term)
-        scale = den ** m
-        return Fraction(sum(terms), scale), lambda: tuple(
-            (parts, Fraction(term, scale)) for parts, term in zip(listed, terms))
+            listed.append((parts, Fraction(term, den ** m)))
+        return tuple(listed)
 
-    return case
+    return terms
+
+
+def _side(n: int, top: int, m_max: int, factors, literal: bool):
+    # ``case(k, m) -> (value, terms)`` for k >= n - top: the value by the prefix
+    # recurrence; the terms walk is made on the first call of any case's
+    # ``terms()``, once per n
+    rows = _factor_rows(n, top, m_max, factors, literal)
+    value = _prefix_side(n, top, m_max, *rows, literal)
+    walk = functools.cache(lambda: _chain_side(n, *rows, literal))
+    return lambda k, m: (value(k, m), lambda: walk()(k, m))
 
 
 def _series_factor(gf, trunc: int):
@@ -170,10 +245,10 @@ def _series_factor(gf, trunc: int):
 def _readings(identity: str, m_max: int, a: Optional[Fraction]):
     """The factors of ``identity``'s right side for m <= m_max, per reading.
 
-    Returns ``{interpretation: (factors, literal)}``, the arguments of
-    :func:`_chain_side` after n and m_max, with the key None for t1, t2 and
-    t3.  No factor is evaluated before ``_chain_side`` tabulates it.  The
-    t1 signs multiply to (-1)^{n-k}.  Reversed as in ``_chain_side``, the
+    Returns ``{interpretation: (factors, literal)}``, the last arguments of
+    :func:`_factor_rows`, with the key None for t1, t2 and t3.  No factor is
+    evaluated before ``_factor_rows`` tabulates it.  The t1 signs multiply
+    to (-1)^{n-k}.  Reversed as in :func:`_prefix_side`, the
     t2 sign exponent is k plus n - S_j for every part j but the first, S_j
     the sum of the parts before it, which has the parity of the sum of
     p + order over all parts; its falling factorials telescope to n!/k!.
@@ -207,7 +282,7 @@ def _rhs_case(identity: str, n: int, k: int, m: int, a: Optional[RationalLike] =
     reading = readings[interpretation]
     _check_walk_size(f"{identity.lower()} at n={n}, k={k}, m={m}", {interpretation: reading},
                      [(n, m, range(k, k + 1))])
-    return _chain_side(n, m, *reading)(k, m)
+    return _side(n, n - k, m, *reading)(k, m)
 
 
 # -- unsigned Stirling identity ------------------------------------------------
@@ -371,7 +446,8 @@ def _walk(n_max, m_max, powers, side, low=1, interpretation=None):
     (n, m, k) order over low <= k <= n <= n_max, 1 <= m <= m_max.
     ``side(n)`` builds the right side for one n; its ``case(k, m)`` returns
     the value and a function listing the per-composition terms, or None
-    (xcheck).  Only a mismatch lists them, as diagnostics.
+    (xcheck).  Only a mismatch calls it, so a passing case enumerates no
+    composition; the listed terms are its diagnostics.
     """
     cases = []
     for n in range(low, n_max + 1):
@@ -422,7 +498,7 @@ def verify(identity: str, n_max: int, m_max: int, *,
         _check_walk_size(f"{identity.lower()} with n_max={n_max}, m_max={m_max}", readings,
                          ((n, m, range(1, n + 1))
                           for n in range(1, n_max + 1) for m in range(1, m_max + 1)))
-        sides = {i: lambda n, reading=reading: _chain_side(n, m_max, *reading)
+        sides = {i: lambda n, reading=reading: _side(n, n - 1, m_max, *reading)
                  for i, reading in readings.items()}
     if fam.a is not None:
         params["a"] = format_rational(fam.a)

@@ -3,17 +3,20 @@
 ``oracles.composition_sum`` lists compositions with ``itertools.product``,
 takes higher-order Bernoulli/Euler numbers from integer powers of their
 generating functions and adds ``Fraction`` terms one by one, so it shares
-no code with the package's per-call integer tables.
+no code with the package's per-call integer tables or its prefix
+recurrence.  The recurrence is also checked against the package's own
+enumerating walk, which lists the terms of a failing case.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
 from umbral import remark_rhs, remark_rhs_terms, t1_rhs, t2_rhs, t3_rhs, verify
-from umbral.identities import INTERPRETATIONS, T1, T2, T3, _rhs_case
+from umbral.identities import INTERPRETATIONS, REMARK, T1, T2, T3, _rhs_case
 
 from oracles import composition_sum, composition_terms, higher_order_number
 
@@ -105,6 +108,19 @@ def test_remark_terms_are_the_reference_terms(point, interpretation):
     expected = composition_terms(n, k, 2 * m, remark_blocks(n, interpretation == "indexed"))
     assert list(remark_rhs_terms(n, k, m, interpretation)) == expected
     assert remark_rhs(n, k, m, interpretation) == sum((t for _, t in expected), F(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_point(8, 4), st.sampled_from([(T1, None), (T2, None), (T3, None),
+                                          (REMARK, "literal"), (REMARK, "indexed")]), ABEL_A)
+def test_recurrence_value_is_the_sum_of_its_terms(point, reading, a):
+    # the prefix recurrence against the enumerating walk over the same factors
+    n, k, m = point
+    identity, interpretation = reading
+    value, terms = _rhs_case(identity, n, k, m, a if identity == T3 else None, interpretation)
+    listed = terms()
+    assert len(listed) == math.comb(n - k + len(listed[0][0]) - 1, n - k)
+    assert value == sum((term for _, term in listed), F(0))
 
 
 @settings(max_examples=40, deadline=None)

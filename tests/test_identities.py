@@ -251,9 +251,15 @@ def test_verify_remark_diagnostics_on_mismatch():
 
 @pytest.mark.parametrize("identity", ["t1", "t2", "t3"])
 def test_verify_diagnostics_on_a_forced_mismatch(monkeypatch, identity):
-    # the multinomial raised by 1 whenever a part is 1: those cases fail
-    real = identities.multinomial
-    monkeypatch.setattr(identities, "multinomial", lambda top, ks: real(top, ks) + (1 in ks[:-1]))
+    # the factor raised by 1 at a part of 1: cases whose compositions reach one
+    # fail, and the recurrence and the diagnostics walk read the same fault
+    real = identities._readings
+
+    def faulty(*args):
+        return {key: ([lambda p, order, f=first: f(p, order) + (p == 1), *rest], literal)
+                for key, ((first, *rest), literal) in real(*args).items()}
+
+    monkeypatch.setattr(identities, "_readings", faulty)
     report = verify(identity, 4, 2)
     failing = [case for case in report.cases if not case.equal]
     assert failing and len(failing) < len(report.cases)
@@ -307,6 +313,55 @@ def test_literal_remark_builds_one_series_per_order():
     verify("remark", 1, 40)
     assert special._bernoulli_series.cache_info().misses <= 2
     assert special._euler_series.cache_info().misses <= 2
+
+
+def counted(monkeypatch, name):
+    # count the calls of one of identities' module-level bindings
+    real, calls = getattr(identities, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(identities, name, spy)
+    return calls
+
+
+def test_passing_cases_enumerate_no_composition_of_the_case(monkeypatch):
+    # the compositions of n - k are listed only for diagnostics: never on a
+    # grid that passes, and once per n for the failing literal remark
+    walks = counted(monkeypatch, "_chain_side")
+    for identity, a in (("t1", None), ("t2", None), ("t3", F(-2, 5))):
+        assert verify(identity, 8, 3, a=a).all_equal
+    assert walks == []
+    report = verify("remark", 6, 3)
+    assert len(walks) == len({c.n for c in report.cases if not c.equal}) == 6
+
+
+def test_single_case_reads_only_the_prefixes_it_reaches(monkeypatch):
+    # one case reaches prefix sums s <= n - k and columns up to n - k - s
+    calls = counted(monkeypatch, "bernoulli_high")
+    for n, k, m in ((60, 55, 3), (30, 1, 1), (12, 4, 4), (60, 59, 2)):
+        calls.clear()
+        assert t1_rhs(n, k, m) == t1_lhs(n, k, m)
+        assert len(calls) <= (n - k + 1) * (n - k + 2) // 2, (n, k, m)
+    assert len(calls) == 3
+
+
+def test_m_max_one_reads_one_prefix_row(monkeypatch):
+    # at m_max = 1 every case starts its only block at prefix 0: n factors per n
+    calls = counted(monkeypatch, "bernoulli_high")
+    verify("t1", 40, 1)
+    assert len(calls) == 820
+
+
+@pytest.mark.parametrize("identity", ["t1", "t2", "t3", "remark"])
+def test_m_one_cases_do_not_depend_on_m_max(identity):
+    one = verify(identity, 8, 1).cases
+    three = {(c.n, c.k, c.interpretation): c for c in verify(identity, 8, 3).cases if c.m == 1}
+    assert len(one) == len(three)
+    for case in one:
+        assert case == three[case.n, case.k, case.interpretation]
 
 
 def test_walk_size_limit_sums_every_factor_product(monkeypatch):
