@@ -8,20 +8,7 @@ from .errors import (
     OutOfRangeError,
     UmbralError,
 )
-from .identities import (
-    IdentityCase,
-    IdentityReport,
-    remark_lhs,
-    remark_rhs,
-    remark_rhs_terms,
-    t1_lhs,
-    t1_rhs,
-    t2_lhs,
-    t2_rhs,
-    t3_lhs,
-    t3_rhs,
-    verify,
-)
+from .identities import IdentityCase, IdentityReport, verify
 from .rationals import format_rational, parse_rational
 from .series import Series
 from .sheffer import (
@@ -83,19 +70,10 @@ __all__ = [
     "pair_power",
     "pairing",
     "parse_rational",
-    "remark_lhs",
-    "remark_rhs",
-    "remark_rhs_terms",
     "sheffer_triangle",
     "stirling1_signed",
     "stirling1_triangle",
     "stirling1_unsigned",
-    "t1_lhs",
-    "t1_rhs",
-    "t2_lhs",
-    "t2_rhs",
-    "t3_lhs",
-    "t3_rhs",
     "transfer",
     "umbral_power_gf",
     "verify",

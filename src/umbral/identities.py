@@ -6,9 +6,9 @@ sum over integer compositions of n - k (right side).  The verification
 driver walks a full (n, m, k) grid and reports every case with both
 values; comparison is exact rational equality.
 
-One ``verify`` call builds one left side, the powers 1..m_max of its
-family's closed triangle at n_max, and every case reads its entry from
-that list.
+``verify`` is the only entry to both sides.  One call builds one left
+side, the powers 1..m_max of its family's closed triangle at n_max, and
+every case reads its entry from that list.
 
 The paper writes all four right sides in one shape: a multinomial times a
 chain of per-part factors, each depending on its part and on the order
@@ -31,12 +31,8 @@ with one integer vector over the consumed prefix, a block per step.  It
 lists only the compositions of one block's size into its w parts, never
 those of n - k, and each case is one ``Fraction``.  The tables live for
 one call and the right side never touches a triangle.  Only diagnostics
-list the compositions of n - k: the first failing case of an n, or an
-explicit request for terms, builds the walk :func:`_chain_side` over the
-same tables.  ``t1_rhs`` .. ``remark_rhs`` are single-case calls of the
-same recurrence, reaching only the prefix sums up to n - k, under the
-same size cap as ``verify``; ``t1_lhs`` .. ``remark_lhs`` are uncached
-point evaluators.
+list the compositions of n - k: the first failing case of an n builds the
+walk :func:`_chain_side` over the same tables.
 """
 
 from __future__ import annotations
@@ -66,56 +62,45 @@ INTERPRETATIONS = ("literal", "indexed")
 # the family whose closed triangle gives each identity's left side
 LHS_FAMILY = {T1: "rising-factorial", T2: "lah", T3: "abel", REMARK: "mittag-leffler"}
 
-# The most factor products one ``verify`` call or one single-case right side
-# may walk: over every case and reading, the C(n - k + wm - 1, wm - 1)
-# compositions of n - k into wm parts times their wm factors, w being the
-# reading's block width (2 for the remark, 1 otherwise).  Both check it
-# before any work; the benchmark's largest grids are 75,412 (t1/t2 at 16, 4)
-# and 88,176 (remark at 9, 3, both readings).  The guard is unchanged: the
-# prefix recurrence that gives every value costs far less, and the guard now
-# bounds the diagnostics walk, whose output is that many terms.
+# The most factor products one ``verify`` call may walk: over every case and
+# reading, the C(n - k + wm - 1, wm - 1) compositions of n - k into wm parts
+# times their wm factors, w being the reading's block width (2 for the
+# remark, 1 otherwise).  It is checked before any work; the benchmark's
+# largest grids are 75,412 (t1/t2 at 16, 4) and 88,176 (remark at 9, 3, both
+# readings).  The prefix recurrence that gives every value costs far less;
+# the guard bounds the diagnostics walk, whose output is that many terms.
 MAX_FACTOR_PRODUCTS = 10**6
 
 
-def _check_grid_point(n: int, k: int, m: int) -> None:
-    if n < 1 or m < 1:
-        raise InvalidParameterError("identity grid needs n >= 1 and m >= 1")
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"k={k} outside 1..{n}")
-
-
-def _check_walk_size(where: str, readings, grid) -> None:
-    # grid yields (n, m, ks), ks a range of k; by Pascal's rule the compositions
-    # of the cases k in ks sum to a difference of two binomials
+def _check_walk_size(identity: str, n_max: int, m_max: int, readings) -> None:
+    # by the hockey-stick identity the cases k = 1..n of one n and m walk
+    # C(n - 1 + wm, wm) compositions of wm factors each
+    widths = [len(factors) for factors, _ in readings.values()]
     total = 0
-    for n, m, ks in grid:
-        for factors, _ in readings.values():
-            parts = len(factors) * m
-            total += parts * (math.comb(n - ks.start + parts, parts)
-                              - math.comb(n - ks.stop + parts, parts))
-            if total > MAX_FACTOR_PRODUCTS:
-                raise InvalidParameterError(
-                    f"{where} walks compositions with more than {MAX_FACTOR_PRODUCTS} factor products")
-
-
-def _lhs_point(identity: str, n: int, k: int, m: int, a: Optional[RationalLike] = None) -> Fraction:
-    _check_grid_point(n, k, m)
-    return family(LHS_FAMILY[identity], a).closed_triangle(n).powers(m)[-1].entry(n, k)
+    for n in range(1, n_max + 1):
+        for m in range(1, m_max + 1):
+            for width in widths:
+                parts = width * m
+                total += parts * math.comb(n - 1 + parts, parts)
+                if total > MAX_FACTOR_PRODUCTS:
+                    raise InvalidParameterError(
+                        f"{identity.lower()} with n_max={n_max}, m_max={m_max} walks"
+                        f" compositions with more than {MAX_FACTOR_PRODUCTS} factor products")
 
 
 # -- the right sides -----------------------------------------------------------------
 
 
-def _factor_rows(n: int, top: int, m_max: int, factors, literal: bool):
-    # factors[j](c, n - s) at every prefix sum s <= top that can start a block
-    # (only 0 unless m_max > 1) and every column reached there: c <= top - s,
+def _factor_rows(n: int, m_max: int, factors, literal: bool):
+    # factors[j](c, n - s) at every prefix sum s < n that can start a block
+    # (only 0 unless m_max > 1) and every column reached there: c < n - s,
     # or the block index c < m_max under the literal reading.  Returns the
     # rows of each factor scaled to integers over its lcm denominator, and the
     # product of those denominators
     tables, den = [], 1
     for factor in factors:
-        rows = [[factor(c, n - s) for c in (range(m_max) if literal else range(top - s + 1))]
-                for s in range(top + 1 if m_max > 1 else 1)]
+        rows = [[factor(c, n - s) for c in (range(m_max) if literal else range(n - s))]
+                for s in range(n if m_max > 1 else 1)]
         flat, d = scaled_to_integers(value for row in rows for value in row)
         values = iter(flat)
         tables.append([list(islice(values, len(row))) for row in rows])
@@ -123,8 +108,8 @@ def _factor_rows(n: int, top: int, m_max: int, factors, literal: bool):
     return tables, den
 
 
-def _prefix_side(n: int, top: int, m_max: int, tables, den: int, literal: bool):
-    """The right side of one n as ``value(k, m)``, for m <= m_max and k >= n - top.
+def _prefix_side(n: int, m_max: int, tables, den: int, literal: bool):
+    """The right side of one n as ``value(k, m)``, for 1 <= k <= n and m <= m_max.
 
     With w factors, the value is the sum over compositions (k_1 .. k_wm) of
     n - k into m blocks of w parts of
@@ -160,7 +145,7 @@ def _prefix_side(n: int, top: int, m_max: int, tables, den: int, literal: bool):
         entries = []
         for s in range(len(tables[0])):
             row = []
-            for r in range(top - s + 1):
+            for r in range(n - s):
                 total = 0
                 for parts in compositions(r, width):
                     term = multinomial(r, parts).numerator
@@ -173,11 +158,11 @@ def _prefix_side(n: int, top: int, m_max: int, tables, den: int, literal: bool):
         scaled = iter(flat)
         return [list(islice(scaled, len(row))) for row in entries], d
 
-    vectors, vector, scale = [], [1] + [0] * top, 1
+    vectors, vector, scale = [], [1] + [0] * (n - 1), 1
     for i in range(m_max):
         if i == 0 or literal:
             table, d = block(i)
-        step = [0] * (top + 1)
+        step = [0] * n
         for s, v in enumerate(vector):
             if v:  # the first step reads row 0 alone, the only row at m_max = 1
                 for r, b in enumerate(table[s], s):
@@ -219,12 +204,12 @@ def _chain_side(n: int, tables, den: int, literal: bool):
     return terms
 
 
-def _side(n: int, top: int, m_max: int, factors, literal: bool):
-    # ``case(k, m) -> (value, terms)`` for k >= n - top: the value by the prefix
+def _side(n: int, m_max: int, factors, literal: bool):
+    # ``case(k, m) -> (value, terms)`` for 1 <= k <= n: the value by the prefix
     # recurrence; the terms walk is made on the first call of any case's
     # ``terms()``, once per n
-    rows = _factor_rows(n, top, m_max, factors, literal)
-    value = _prefix_side(n, top, m_max, *rows, literal)
+    rows = _factor_rows(n, m_max, factors, literal)
+    value = _prefix_side(n, m_max, *rows, literal)
     walk = functools.cache(lambda: _chain_side(n, *rows, literal))
     return lambda k, m: (value(k, m), lambda: walk()(k, m))
 
@@ -252,9 +237,15 @@ def _readings(identity: str, m_max: int, a: Optional[Fraction]):
     t2 sign exponent is k plus n - S_j for every part j but the first, S_j
     the sum of the parts before it, which has the parity of the sum of
     p + order over all parts; its falling factorials telescope to n!/k!.
-    The literal remark indices 2i + 1 (Euler) and 2i + 2 (Bernoulli) reach
-    2 m_max whatever the composition, so that reading reads one series per
-    order at that truncation, padded as ``bernoulli_high`` pads it.
+
+    The remark's compositions run over 2m parts.  With S_{2i} the sum of
+    the first 2i parts, block i contributes an Euler number of order
+    S_{2i} - n, a Bernoulli number of order n - S_{2i} and a factor
+    2^{n - S_{2i}}.  Under the ``indexed`` reading the Euler/Bernoulli
+    indices are the parts k_{2i+1}, k_{2i+2}; under ``literal`` they are the
+    fixed integers 2i + 1, 2i + 2, which reach 2 m_max whatever the
+    composition, so that reading reads one series per order at that
+    truncation, padded as ``bernoulli_high`` pads it.
     """
     if identity == REMARK:
         trunc = _padded_trunc(2 * m_max + 1)
@@ -269,92 +260,6 @@ def _readings(identity: str, m_max: int, a: Optional[Fraction]):
               T2: lambda p, order: (-1) ** (p + order) * math.perm(order, p),
               T3: lambda p, order: (-a * order) ** p}[identity]
     return {None: ([factor], False)}
-
-
-def _rhs_case(identity: str, n: int, k: int, m: int, a: Optional[RationalLike] = None,
-              interpretation: Optional[str] = None):
-    """One right-side case as ``(value, terms)``, refused before any table
-    when it walks more than ``MAX_FACTOR_PRODUCTS`` factor products."""
-    _check_grid_point(n, k, m)
-    readings = _readings(identity, m, family(LHS_FAMILY[identity], a).a)
-    if interpretation not in readings:
-        raise InvalidParameterError(f"unknown interpretation {interpretation!r}")
-    reading = readings[interpretation]
-    _check_walk_size(f"{identity.lower()} at n={n}, k={k}, m={m}", {interpretation: reading},
-                     [(n, m, range(k, k + 1))])
-    return _side(n, n - k, m, *reading)(k, m)
-
-
-# -- unsigned Stirling identity ------------------------------------------------
-
-
-def t1_lhs(n: int, k: int, m: int) -> Fraction:
-    """(n, k) entry of the m-th matrix power of the unsigned Stirling triangle."""
-    return _lhs_point(T1, n, k, m)
-
-
-def t1_rhs(n: int, k: int, m: int) -> Fraction:
-    """Composition sum with chained higher-order Bernoulli numbers.
-
-    Each composition (k_1 .. k_m) of n - k contributes
-    (-1)^{n-k} multinomial(n-1; k_1..k_m, k-1) * prod_j B_{k_j} of order
-    n minus the already-consumed suffix k_{j+1} + ... + k_m.
-    """
-    return _rhs_case(T1, n, k, m)[0]
-
-
-# -- Lah identity ----------------------------------------------------------------
-
-
-def t2_lhs(n: int, k: int, m: int) -> Fraction:
-    """(n, k) entry of the m-th matrix power of the signed Lah triangle."""
-    return _lhs_point(T2, n, k, m)
-
-
-def t2_rhs(n: int, k: int, m: int) -> Fraction:
-    """Composition sum (n!/k!) * multinomial with a sign (-1)^e, the exponent
-    e built from the m - 1 suffix partial sums of the composition, plus k;
-    the n!/k! is taken inside the sum, one falling factorial per part."""
-    return _rhs_case(T2, n, k, m)[0]
-
-
-# -- Abel identity ------------------------------------------------------------------
-
-
-def t3_lhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
-    """(n, k) entry of the m-th matrix power of the Abel triangle."""
-    return _lhs_point(T3, n, k, m, a)
-
-
-def t3_rhs(n: int, k: int, m: int, a: RationalLike) -> Fraction:
-    """Composition sum with factors (-a * remaining-order)^{k_i}."""
-    return _rhs_case(T3, n, k, m, a)[0]
-
-
-# -- Mittag-Leffler identity (both printed readings) -----------------------------------
-
-
-def remark_lhs(n: int, k: int, m: int) -> Fraction:
-    """(n, k) entry of the m-th matrix power of the Mittag-Leffler triangle."""
-    return _lhs_point(REMARK, n, k, m)
-
-
-def remark_rhs_terms(n: int, k: int, m: int,
-                     interpretation: str) -> Tuple[Tuple[tuple, Fraction], ...]:
-    """Per-composition contributions to the right side, for diagnostics.
-
-    Compositions run over 2m parts.  With prefix sums S_{2i} of the first
-    2i parts, block i contributes an Euler number of order S_{2i} - n, a
-    Bernoulli number of order n - S_{2i} and a factor 2^{n - S_{2i}}.
-    Under the ``indexed`` reading the Euler/Bernoulli indices are the
-    composition entries k_{2i+1}, k_{2i+2}; under ``literal`` they are the
-    fixed integers 2i+1, 2i+2.
-    """
-    return _rhs_case(REMARK, n, k, m, interpretation=interpretation)[1]()
-
-
-def remark_rhs(n: int, k: int, m: int, interpretation: str) -> Fraction:
-    return _rhs_case(REMARK, n, k, m, interpretation=interpretation)[0]
 
 
 # -- reports ------------------------------------------------------------------------
@@ -495,10 +400,8 @@ def verify(identity: str, n_max: int, m_max: int, *,
     else:
         fam = family(LHS_FAMILY[identity], 1 if identity == T3 and a is None else a)
         readings = _readings(identity, m_max, fam.a)
-        _check_walk_size(f"{identity.lower()} with n_max={n_max}, m_max={m_max}", readings,
-                         ((n, m, range(1, n + 1))
-                          for n in range(1, n_max + 1) for m in range(1, m_max + 1)))
-        sides = {i: lambda n, reading=reading: _side(n, n - 1, m_max, *reading)
+        _check_walk_size(identity, n_max, m_max, readings)
+        sides = {i: lambda n, reading=reading: _side(n, m_max, *reading)
                  for i, reading in readings.items()}
     if fam.a is not None:
         params["a"] = format_rational(fam.a)

@@ -185,17 +185,6 @@ class Series:
 
     # -- transcendental operations ---------------------------------------
 
-    def log(self) -> "Series":
-        """Series logarithm; requires ``c_0 = 1``."""
-        if self._coeffs[0] != 1:
-            raise ClassMismatchError("series logarithm needs constant term 1")
-        if self.trunc == 1:
-            return Series([0])
-        # the antiderivative of s'/s with zero constant term; its truncation
-        # grows by one, which exactly undoes derivative()
-        quotient = self.derivative() * self.inv()
-        return Series([Fraction(0)] + [c / (k + 1) for k, c in enumerate(quotient._coeffs)])
-
     def exp(self) -> "Series":
         """Series exponential by :func:`_miller` (``E' = E s'``); requires
         order >= 1 (zero constant term)."""

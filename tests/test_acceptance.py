@@ -21,16 +21,13 @@ from umbral import (
     lah,
     lah_triangle,
     mittag_leffler_triangle,
-    remark_lhs,
-    remark_rhs,
-    remark_rhs_terms,
     sheffer_triangle,
     stirling1_unsigned,
     umbral_power_gf,
     verify,
     verify_orthogonality,
 )
-from umbral import bernoulli_high, euler_high, mittag_leffler_triangle as ml_triangle
+from umbral import bernoulli_high, euler_high, identities, mittag_leffler_triangle as ml_triangle
 
 from oracles import classical_bernoulli, conv_inverse, naive_chain_sum, poly_product
 
@@ -96,32 +93,29 @@ def test_criterion_5_remark_diagnostics():
     started = time.time()
     n_max, m_max = 8, 2
 
-    # the left side is unconditionally the Mittag-Leffler matrix power
-    lhs_ok = True
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            for k in range(1, n + 1):
-                lhs_ok = lhs_ok and remark_lhs(n, k, m) == naive_chain_sum(
-                    lambda i, j: ml_triangle(i).entry(i, j), n, k, m)
-
     # both readings run to completion and report deterministically
-    first = json.dumps(verify("remark", n_max, m_max).to_json_obj(), indent=2)
+    grid = verify("remark", n_max, m_max)
+    first = json.dumps(grid.to_json_obj(), indent=2)
     second = json.dumps(verify("remark", n_max, m_max).to_json_obj(), indent=2)
     deterministic = first == second
     obj = json.loads(first)
     ran_both = {c["interpretation"] for c in obj["cases"]} == {"literal", "indexed"}
     has_diagnostics = all("diagnostics" in c for c in obj["cases"] if not c["equal"])
+    indexed = [c for c in grid.cases if c.interpretation == "indexed"]
+
+    # the left side is unconditionally the Mittag-Leffler matrix power
+    lhs_ok = all(c.lhs == naive_chain_sum(lambda i, j: ml_triangle(i).entry(i, j), c.n, c.k, c.m)
+                 for c in indexed)
 
     # diagonal cases under the indexed reading: single all-zero composition,
     # value 2^{nm} from the leading coefficients
     diagonal_ok = True
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            expected = F(2) ** (n * m)
-            diagonal_ok = diagonal_ok and remark_lhs(n, n, m) == expected
-            diagonal_ok = diagonal_ok and remark_rhs(n, n, m, "indexed") == expected
-            terms = remark_rhs_terms(n, n, m, "indexed")
-            diagonal_ok = diagonal_ok and [p for p, _ in terms] == [(0,) * (2 * m)]
+    reading = identities._readings(identities.REMARK, m_max, None)["indexed"]
+    for c in indexed:
+        if c.k == c.n:
+            diagonal_ok = diagonal_ok and c.lhs == c.rhs == F(2) ** (c.n * c.m)
+            terms = identities._side(c.n, m_max, *reading)(c.k, c.m)[1]()
+            diagonal_ok = diagonal_ok and [p for p, _ in terms] == [(0,) * (2 * c.m)]
 
     ok = lhs_ok and deterministic and ran_both and has_diagnostics and diagonal_ok
     report("C5", "Mittag-Leffler power diagnostics, n<=8, m<=2", ok, started, 120)

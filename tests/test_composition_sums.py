@@ -1,4 +1,5 @@
-"""The identities' right sides against a plain reference sum.
+"""The identities' right sides, as ``verify`` reports them, against a plain
+reference sum.
 
 ``oracles.composition_sum`` lists compositions with ``itertools.product``,
 takes higher-order Bernoulli/Euler numbers from integer powers of their
@@ -15,8 +16,8 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from umbral import remark_rhs, remark_rhs_terms, t1_rhs, t2_rhs, t3_rhs, verify
-from umbral.identities import INTERPRETATIONS, REMARK, T1, T2, T3, _rhs_case
+from umbral import verify
+from umbral.identities import INTERPRETATIONS, REMARK, T1, T2, T3, _readings, _side
 
 from oracles import composition_sum, composition_terms, higher_order_number
 
@@ -52,10 +53,21 @@ def remark_blocks(n, indexed):
     return product
 
 
-def assert_reversed_terms(identity, n, k, m, expected, *a):
+def rhs(identity, n, k, m, a=None, interpretation=None):
+    # the right side of the case (n, m, k) of verify's grid up to n and m
+    return next(c.rhs for c in verify(identity, n, m, a=a).cases
+                if (c.n, c.m, c.k, c.interpretation) == (n, m, k, interpretation))
+
+
+def side(identity, n, m_max, a=None, interpretation=None):
+    # ``case(k, m) -> (value, terms)`` of one n, as verify builds it
+    return _side(n, m_max, *_readings(identity, m_max, a)[interpretation])
+
+
+def assert_reversed_terms(identity, n, k, m, expected, a=None):
     # the package sums the prefix form of the paper's suffix-form sum, so each
     # of its terms is the reference term of the reversed composition
-    terms = _rhs_case(identity, n, k, m, *a)[1]()
+    terms = side(identity, n, m, a)(k, m)[1]()
     assert sorted((parts[::-1], term) for parts, term in terms) == sorted(expected)
 
 
@@ -70,7 +82,7 @@ def test_t1_rhs_is_the_reference_sum(point):
     n, k, m = point
     sign = -1 if (n - k) % 2 else 1
     chain = suffix_chain(n, lambda p, order: higher_order_number("bernoulli", p, order))
-    assert t1_rhs(n, k, m) == sign * composition_sum(n, k, m, chain)
+    assert rhs("t1", n, k, m) == sign * composition_sum(n, k, m, chain)
     assert_reversed_terms(T1, n, k, m, [(parts, sign * term)
                                         for parts, term in composition_terms(n, k, m, chain)])
 
@@ -87,7 +99,7 @@ def test_t2_rhs_is_the_reference_sum(point):
     base = F(1)
     for j in range(k + 1, n + 1):
         base *= j
-    assert t2_rhs(n, k, m) == base * composition_sum(n, k, m, sign)
+    assert rhs("t2", n, k, m) == base * composition_sum(n, k, m, sign)
     assert_reversed_terms(T2, n, k, m, [(parts, base * term)
                                         for parts, term in composition_terms(n, k, m, sign)])
 
@@ -97,7 +109,7 @@ def test_t2_rhs_is_the_reference_sum(point):
 def test_t3_rhs_is_the_reference_sum(point, a):
     n, k, m = point
     chain = suffix_chain(n, lambda p, order: (-a * order) ** p)
-    assert t3_rhs(n, k, m, a) == composition_sum(n, k, m, chain)
+    assert rhs("t3", n, k, m, a) == composition_sum(n, k, m, chain)
     assert_reversed_terms(T3, n, k, m, composition_terms(n, k, m, chain), a)
 
 
@@ -106,8 +118,9 @@ def test_t3_rhs_is_the_reference_sum(point, a):
 def test_remark_terms_are_the_reference_terms(point, interpretation):
     n, k, m = point
     expected = composition_terms(n, k, 2 * m, remark_blocks(n, interpretation == "indexed"))
-    assert list(remark_rhs_terms(n, k, m, interpretation)) == expected
-    assert remark_rhs(n, k, m, interpretation) == sum((t for _, t in expected), F(0))
+    assert list(side(REMARK, n, m, interpretation=interpretation)(k, m)[1]()) == expected
+    total = sum((t for _, t in expected), F(0))
+    assert rhs("remark", n, k, m, interpretation=interpretation) == total
 
 
 @settings(max_examples=80, deadline=None)
@@ -117,7 +130,7 @@ def test_recurrence_value_is_the_sum_of_its_terms(point, reading, a):
     # the prefix recurrence against the enumerating walk over the same factors
     n, k, m = point
     identity, interpretation = reading
-    value, terms = _rhs_case(identity, n, k, m, a if identity == T3 else None, interpretation)
+    value, terms = side(identity, n, m, a if identity == T3 else None, interpretation)(k, m)
     listed = terms()
     assert len(listed) == math.comb(n - k + len(listed[0][0]) - 1, n - k)
     assert value == sum((term for _, term in listed), F(0))
@@ -127,17 +140,17 @@ def test_recurrence_value_is_the_sum_of_its_terms(point, reading, a):
 @given(st.sampled_from(["t1", "t2", "t3", "remark"]), st.integers(1, 5), st.integers(1, 3),
        ABEL_A)
 def test_verify_right_sides_are_the_single_case_values(identity, n_max, m_max, a):
-    report = verify(identity, n_max, m_max, a=a if identity == "t3" else None)
+    # every case of a grid, m < m_max included, against a side built for its
+    # own n and m alone
+    a = a if identity == "t3" else None
+    report = verify(identity, n_max, m_max, a=a)
     for case in report.cases:
         n, k, m = case.n, case.k, case.m
-        if identity == "remark":
-            assert case.rhs == remark_rhs(n, k, m, case.interpretation)
-        else:
-            single = {"t1": t1_rhs, "t2": t2_rhs, "t3": t3_rhs}[identity]
-            assert case.rhs == single(n, k, m, *((a,) if identity == "t3" else ()))
+        value, terms = side(identity.upper(), n, m, a, case.interpretation)(k, m)
+        assert case.rhs == value
         # a passing case lists no terms; a failing case of any identity lists
         # them all, and only the literal remark fails unforced
         if case.equal:
             assert case.diagnostics is None
         else:
-            assert case.diagnostics == remark_rhs_terms(n, k, m, case.interpretation)
+            assert case.diagnostics == terms()

@@ -15,20 +15,11 @@ from umbral import (
     lah,
     mittag_leffler_triangle,
     multinomial,
-    remark_lhs,
-    remark_rhs,
-    remark_rhs_terms,
     stirling1_unsigned,
-    t1_lhs,
-    t1_rhs,
-    t2_lhs,
-    t2_rhs,
-    t3_lhs,
-    t3_rhs,
     verify,
 )
 from umbral import identities, special
-from umbral.identities import INTERPRETATIONS
+from umbral.identities import INTERPRETATIONS, LHS_FAMILY, T3
 
 from oracles import lagrange_interpolate, naive_chain_sum
 
@@ -52,52 +43,61 @@ def ml_entry(n, k):
     return mittag_leffler_triangle(n).entry(n, k)
 
 
+def case(identity, n, k, m, a=None, interpretation=None):
+    # the case (n, m, k) of verify's grid up to n and m
+    return next(c for c in verify(identity, n, m, a=a).cases
+                if (c.n, c.m, c.k, c.interpretation) == (n, m, k, interpretation))
+
+
+def sides(identity, n, k, m, a=None, interpretation=None):
+    c = case(identity, n, k, m, a, interpretation)
+    return c.lhs, c.rhs
+
+
+def power_cases(identity, n_max, m, a=None):
+    # the cases of the m-th power, one per (n, k): the left side is the same
+    # under both remark readings
+    return [c for c in verify(identity, n_max, m, a=a).cases
+            if c.m == m and c.interpretation in (None, "indexed")]
+
+
 # -- worked cases -----------------------------------------------------------------
 
 
 def test_t1_base_cases():
-    assert t1_lhs(2, 2, 1) == 1
-    assert t1_rhs(2, 2, 1) == multinomial(1, (0, 1)) * 1
-    assert t1_lhs(2, 1, 1) == 1
-    assert t1_rhs(2, 1, 1) == 1  # -B_1 of order 2 = 1
+    assert sides("t1", 2, 2, 1) == (1, multinomial(1, (0, 1)) * 1)
+    assert sides("t1", 2, 1, 1) == (1, 1)  # -B_1 of order 2 = 1
     for m in range(1, 5):
-        assert t1_lhs(1, 1, m) == 1
-        assert t1_rhs(1, 1, m) == 1
+        assert sides("t1", 1, 1, m) == (1, 1)
 
 
 def test_t2_base_cases():
-    assert t2_lhs(2, 1, 1) == -2
-    assert t2_rhs(2, 1, 1) == -2
-    assert t2_lhs(1, 1, 2) == 1
-    assert t2_rhs(1, 1, 2) == 1
+    assert sides("t2", 2, 1, 1) == (-2, -2)
+    assert sides("t2", 1, 1, 2) == (1, 1)
     # the diagonal chain is the only surviving term: ((-1)^4 L(4,4))^m = 1
     for m in (1, 2, 3):
-        assert t2_lhs(4, 4, m) == t2_rhs(4, 4, m) == 1
+        assert sides("t2", 4, 4, m) == (1, 1)
 
 
 def test_t3_base_cases():
-    assert t3_lhs(2, 1, 1, 1) == -2
-    assert t3_rhs(2, 1, 1, 1) == -2
+    assert sides("t3", 2, 1, 1, a=1) == (-2, -2)
     for n in (1, 2, 3):
         for m in (1, 2):
             for a in (F(1), F(-1), F(1, 2)):
-                assert t3_lhs(n, n, m, a) == 1
-                assert t3_rhs(n, n, m, a) == 1
-    assert t3_lhs(3, 1, 2, 1) == t3_rhs(3, 1, 2, 1) == 30
+                assert sides("t3", n, n, m, a=a) == (1, 1)
+    assert sides("t3", 3, 1, 2, a=1) == (30, 30)
 
 
 def test_remark_base_cases():
-    assert remark_lhs(1, 1, 1) == 2
-    assert remark_rhs(1, 1, 1, "indexed") == 2
-    assert remark_lhs(2, 2, 1) == 4
-    assert remark_rhs(2, 2, 1, "indexed") == 4
-    assert remark_lhs(2, 1, 1) == 0
-    assert remark_rhs(2, 1, 1, "indexed") == 0
+    assert sides("remark", 1, 1, 1, interpretation="indexed") == (2, 2)
+    assert sides("remark", 2, 2, 1, interpretation="indexed") == (4, 4)
+    assert sides("remark", 2, 1, 1, interpretation="indexed") == (0, 0)
 
 
 def test_remark_literal_reading_differs():
-    assert remark_rhs(1, 1, 1, "literal") == F(1, 6)
-    assert remark_rhs(1, 1, 1, "literal") != remark_lhs(1, 1, 1)
+    lhs, rhs = sides("remark", 1, 1, 1, interpretation="literal")
+    assert rhs == F(1, 6)
+    assert rhs != lhs
 
 
 # -- naive chain sums against the matrix powers -----------------------------------------
@@ -105,104 +105,71 @@ def test_remark_literal_reading_differs():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_t1_lhs_matches_naive_chain(m):
-    for n in range(1, 7):
-        for k in range(1, n + 1):
-            assert t1_lhs(n, k, m) == naive_chain_sum(stirling1_unsigned, n, k, m)
+    for c in power_cases("t1", 6, m):
+        assert c.lhs == naive_chain_sum(stirling1_unsigned, c.n, c.k, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_t2_lhs_matches_naive_chain(m):
-    for n in range(1, 7):
-        for k in range(1, n + 1):
-            assert t2_lhs(n, k, m) == naive_chain_sum(signed_lah_entry, n, k, m)
+    for c in power_cases("t2", 6, m):
+        assert c.lhs == naive_chain_sum(signed_lah_entry, c.n, c.k, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("a", [F(1), F(-1), F(1, 2)])
 def test_t3_lhs_matches_naive_chain(m, a):
     entry = abel_entry(a)
-    for n in range(1, 7):
-        for k in range(1, n + 1):
-            assert t3_lhs(n, k, m, a) == naive_chain_sum(entry, n, k, m)
+    for c in power_cases("t3", 6, m, a):
+        assert c.lhs == naive_chain_sum(entry, c.n, c.k, m)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_remark_lhs_matches_naive_chain(m):
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            assert remark_lhs(n, k, m) == naive_chain_sum(ml_entry, n, k, m)
+    for c in power_cases("remark", 8, m):
+        assert c.lhs == naive_chain_sum(ml_entry, c.n, c.k, m)
 
 
 # -- m = 1 reduction to the closed forms -----------------------------------------------------
 
 
 def test_t1_rhs_reduces_to_unsigned_stirling_at_m1():
-    for n in range(1, 11):
-        for k in range(1, n + 1):
-            assert t1_rhs(n, k, 1) == stirling1_unsigned(n, k)
+    for c in verify("t1", 10, 1).cases:
+        assert c.rhs == stirling1_unsigned(c.n, c.k)
 
 
 def test_t2_rhs_reduces_to_signed_lah_at_m1():
-    for n in range(1, 11):
-        for k in range(1, n + 1):
-            assert t2_rhs(n, k, 1) == signed_lah_entry(n, k)
+    for c in verify("t2", 10, 1).cases:
+        assert c.rhs == signed_lah_entry(c.n, c.k)
 
 
 def test_t3_rhs_reduces_to_abel_at_m1():
     a = F(-2, 3)
     tri = abel_triangle(10, a)
-    for n in range(1, 11):
-        for k in range(1, n + 1):
-            assert t3_rhs(n, k, 1, a) == tri.entry(n, k)
+    for c in verify("t3", 10, 1, a=a).cases:
+        assert c.rhs == tri.entry(c.n, c.k)
 
 
 # -- structural properties of the right sides ---------------------------------------------------
 
 
 def test_rhs_sums_are_order_independent():
-    terms = remark_rhs_terms(6, 2, 2, "indexed")
+    reading = identities._readings(identities.REMARK, 2, None)["indexed"]
+    terms = identities._side(6, 2, *reading)(2, 2)[1]()
     forward = sum((v for _, v in terms), F(0))
     backward = sum((v for _, v in reversed(terms)), F(0))
     shuffled = sum((v for _, v in sorted(terms, key=lambda tv: tv[0][::-1])), F(0))
-    assert forward == backward == shuffled == remark_rhs(6, 2, 2, "indexed")
+    assert forward == backward == shuffled == case("remark", 6, 2, 2, interpretation="indexed").rhs
 
 
 def test_t3_sides_are_polynomial_in_parameter():
     # both sides have degree n - k in the parameter; reconstruct the
     # coefficient vectors by interpolation and compare them
-    for n in range(1, 7):
-        for m in (1, 2):
-            for k in range(1, n + 1):
-                points = [F(j + 1) for j in range(n - k + 1)]
-                lhs_poly = lagrange_interpolate([(x, t3_lhs(n, k, m, x)) for x in points])
-                rhs_poly = lagrange_interpolate([(x, t3_rhs(n, k, m, x)) for x in points])
-                assert lhs_poly == rhs_poly
-
-
-# -- argument validation -------------------------------------------------------------------------
-
-
-def test_grid_point_validation():
-    with pytest.raises(InvalidParameterError):
-        t1_lhs(0, 1, 1)
-    with pytest.raises(InvalidParameterError):
-        t1_lhs(3, 4, 1)
-    with pytest.raises(InvalidParameterError):
-        t1_lhs(3, 0, 1)
-    with pytest.raises(InvalidParameterError):
-        t2_rhs(3, 1, 0)
-    with pytest.raises(InvalidParameterError):
-        t3_lhs(3, 1, 1, 0)
-    with pytest.raises(InvalidParameterError):
-        remark_rhs(2, 1, 1, "mystery")
-
-
-def test_t3_rhs_rejects_a_zero_parameter_as_verify_does():
-    with pytest.raises(InvalidParameterError) as single:
-        t3_rhs(3, 1, 2, 0)
-    with pytest.raises(InvalidParameterError) as grid:
-        verify("t3", 3, 2, a=0)
-    assert str(single.value) == str(grid.value) == "abel family needs a nonzero parameter"
+    reports = {x: verify("t3", 6, 2, a=x).cases for x in map(F, range(1, 7))}
+    for i, c in enumerate(reports[1]):
+        points = [F(j + 1) for j in range(c.n - c.k + 1)]
+        lhs_poly = lagrange_interpolate([(x, reports[x][i].lhs) for x in points])
+        rhs_poly = lagrange_interpolate([(x, reports[x][i].rhs) for x in points])
+        assert lhs_poly == rhs_poly
 
 
 # -- verification driver -----------------------------------------------------------------------------
@@ -282,23 +249,26 @@ def test_verify_xcheck_families():
 
 
 def test_verify_lhs_equals_point_evaluators():
-    # verify reads each left side from one power list built at n_max; the
-    # point evaluators build the triangle of size n for every case
-    for identity, point, extra in (("t1", t1_lhs, ()), ("t2", t2_lhs, ()),
-                                   ("t3", t3_lhs, (F(-3, 2),)), ("remark", remark_lhs, ())):
-        for case in verify(identity, 5, 3, a=extra[0] if extra else None).cases:
-            assert case.lhs == point(case.n, case.k, case.m, *extra), (identity, case)
-    for name, a in (("rising-factorial", None), ("lah-signed", None),
-                    ("abel", F(2, 3)), ("mittag-leffler", None)):
+    # verify reads each left side from one power list built at n_max; here
+    # the triangle of size n and its m-th power are built for every case
+    runs = [(identity, name, F(-3, 2) if identity == T3 else None, None)
+            for identity, name in LHS_FAMILY.items()]
+    runs += [("xcheck", name, a, name) for name, a in (("rising-factorial", None),
+                                                      ("lah-signed", None),
+                                                      ("abel", F(2, 3)),
+                                                      ("mittag-leffler", None))]
+    for identity, name, a, family_name in runs:
         fam = family(name, a)
-        for case in verify("xcheck", 5, 3, family_name=name, a=a).cases:
-            point = fam.closed_triangle(case.n).powers(case.m)[-1]
-            assert case.lhs == point.entry(case.n, case.k), (name, case)
+        for c in verify(identity, 5, 3, a=a, family_name=family_name).cases:
+            point = fam.closed_triangle(c.n).powers(c.m)[-1]
+            assert c.lhs == point.entry(c.n, c.k), (identity, name, c)
 
 
 def test_identities_at_thousands_of_powers():
     # one composition of 0 into m parts: no recursion depth grows with m
-    assert t1_rhs(1, 1, 1100) == t1_lhs(1, 1, 1100) == 1
+    report = verify("t1", 1, 1100)
+    assert len(report.cases) == 1100
+    assert all(c.lhs == c.rhs == 1 for c in report.cases)
 
 
 def clear_series_caches():
@@ -338,16 +308,6 @@ def test_passing_cases_enumerate_no_composition_of_the_case(monkeypatch):
     assert len(walks) == len({c.n for c in report.cases if not c.equal}) == 6
 
 
-def test_single_case_reads_only_the_prefixes_it_reaches(monkeypatch):
-    # one case reaches prefix sums s <= n - k and columns up to n - k - s
-    calls = counted(monkeypatch, "bernoulli_high")
-    for n, k, m in ((60, 55, 3), (30, 1, 1), (12, 4, 4), (60, 59, 2)):
-        calls.clear()
-        assert t1_rhs(n, k, m) == t1_lhs(n, k, m)
-        assert len(calls) <= (n - k + 1) * (n - k + 2) // 2, (n, k, m)
-    assert len(calls) == 3
-
-
 def test_m_max_one_reads_one_prefix_row(monkeypatch):
     # at m_max = 1 every case starts its only block at prefix 0: n factors per n
     calls = counted(monkeypatch, "bernoulli_high")
@@ -383,24 +343,6 @@ def test_walk_size_limit_sums_every_factor_product(monkeypatch):
         assert verify(identity, n_max, m_max).cases
 
 
-def test_single_case_size_limit_counts_its_own_compositions(monkeypatch):
-    # one case (n, k, m) under one reading: C(n - k + wm - 1, wm - 1)
-    # compositions of wm factors each, w = 2 for the remark and 1 otherwise
-    for call, width, (n, k, m) in ((t1_rhs, 1, (9, 2, 4)), (t2_rhs, 1, (8, 1, 3)),
-                                   (lambda *p: t3_rhs(*p, F(2, 3)), 1, (7, 3, 5)),
-                                   (lambda *p: remark_rhs_terms(*p, "indexed"), 2, (6, 1, 2)),
-                                   (lambda *p: remark_rhs(*p, "literal"), 2, (5, 2, 2))):
-        parts = width * m
-        total = parts * math.comb(n - k + parts - 1, parts - 1)
-        monkeypatch.setattr(identities, "MAX_FACTOR_PRODUCTS", total - 1)
-        with pytest.raises(InvalidParameterError,
-                           match=f"at n={n}, k={k}, m={m} walks compositions"
-                                 f" with more than {total - 1} factor products"):
-            call(n, k, m)
-        monkeypatch.setattr(identities, "MAX_FACTOR_PRODUCTS", total)
-        call(n, k, m)
-
-
 def test_walk_size_limit_comes_before_any_series():
     clear_series_caches()
     for identity, n_max, m_max in (("remark", 30, 10), ("remark", 10**6, 10**6),
@@ -408,12 +350,6 @@ def test_walk_size_limit_comes_before_any_series():
                                    ("t1", 30, 8), ("t2", 10**6, 1), ("t3", 10**6, 10**6)):
         with pytest.raises(InvalidParameterError, match="compositions"):
             verify(identity, n_max, m_max)
-    # one case of C(36, 7) = 8,347,680 compositions is refused as its grid is
-    for call in (lambda: t1_rhs(30, 1, 8), lambda: t2_rhs(30, 1, 8), lambda: t3_rhs(30, 1, 8, 2),
-                 lambda: remark_rhs(20, 1, 8, "literal"),
-                 lambda: remark_rhs_terms(20, 1, 8, "indexed")):
-        with pytest.raises(InvalidParameterError, match="compositions"):
-            call()
     assert special._bernoulli_series.cache_info().misses == 0
     assert special._euler_series.cache_info().misses == 0
 
@@ -427,7 +363,7 @@ def test_verify_validation():
         verify("t1", 4, 0)
     with pytest.raises(InvalidParameterError):
         verify("xcheck", 4, 2)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="abel family needs a nonzero parameter"):
         verify("t3", 4, 2, a=0)
     with pytest.raises(InvalidParameterError, match="takes no parameter a"):
         verify("t1", 4, 2, a=2)

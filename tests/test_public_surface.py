@@ -31,19 +31,10 @@ PUBLIC_NAMES = [
     "pair_power",
     "pairing",
     "parse_rational",
-    "remark_lhs",
-    "remark_rhs",
-    "remark_rhs_terms",
     "sheffer_triangle",
     "stirling1_signed",
     "stirling1_triangle",
     "stirling1_unsigned",
-    "t1_lhs",
-    "t1_rhs",
-    "t2_lhs",
-    "t2_rhs",
-    "t3_lhs",
-    "t3_rhs",
     "transfer",
     "umbral_power_gf",
     "verify",

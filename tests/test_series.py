@@ -113,30 +113,28 @@ def test_negative_power_rejects_delta():
         Series.t(4) ** -2
 
 
-# -- log and exp -------------------------------------------------------------------------
+# -- exp -------------------------------------------------------------------------------
 
 
-def test_log_mercator():
-    assert Series.from_text("1,1", trunc=4).log() == Series.from_text("0,1,-1/2,1/3")
+def test_exp_of_mercator_series():
+    # log(1 + t) = t - t^2/2 + t^3/3 - ...
+    assert Series.from_text("0,1,-1/2,1/3").exp() == Series.from_text("1,1,0,0")
 
 
 def test_exp_of_t():
     assert Series.t(4).exp() == Series.from_text("1,1,1/2,1/6")
 
 
-def test_exp_log_round_trip():
-    s = Series.from_text("1,1,1", trunc=5)
-    assert s.log().exp() == s
+def test_exp_of_a_sum_is_the_product():
+    x = Series.from_text("0,1,0,-1/3,2", trunc=6)
+    y = Series.from_text("0,-2,1/2,0,5/7", trunc=6)
+    assert (x + y).exp() == x.exp() * y.exp()
 
 
-def test_log_exp_round_trip():
-    s = Series.from_text("0,1,0,-1/3", trunc=6)
-    assert s.exp().log() == s
-
-
-def test_log_requires_unit_constant_term():
-    with pytest.raises(ClassMismatchError):
-        Series.from_text("2,1").log()
+def test_exp_of_a_multiple_is_the_power():
+    x = Series.from_text("0,1,0,-1/3", trunc=6)
+    for p in (F(3), F(-2), F(1, 2), F(-5, 3)):
+        assert (p * x).exp() == x.exp() ** p
 
 
 def test_exp_requires_positive_order():
