@@ -315,6 +315,17 @@ def test_m_max_one_reads_one_prefix_row(monkeypatch):
     assert len(calls) == 820
 
 
+@pytest.mark.parametrize("identity, reader", [("t1", "bernoulli_high"), ("remark", "euler_high")])
+def test_each_n_reads_every_reachable_prefix_once(monkeypatch, identity, reader):
+    # at m_max > 1 a block can start at every prefix s < n and reach columns
+    # c < n - s: n(n + 1)/2 factors per n, the same for every m_max
+    calls = counted(monkeypatch, reader)
+    for m_max in (2, 5):
+        calls.clear()
+        verify(identity, 6, m_max)
+        assert len(calls) == sum(n * (n + 1) // 2 for n in range(1, 7)) == 56
+
+
 @pytest.mark.parametrize("identity", ["t1", "t2", "t3", "remark"])
 def test_m_one_cases_do_not_depend_on_m_max(identity):
     one = verify(identity, 8, 1).cases
@@ -343,6 +354,25 @@ def test_walk_size_limit_sums_every_factor_product(monkeypatch):
         assert verify(identity, n_max, m_max).cases
 
 
+@pytest.mark.parametrize("identity, width, readings, n_max, m_max",
+                         [("t2", 1, 1, 7, 3), ("t3", 1, 1, 6, 4),
+                          ("remark", 2, 2, 5, 2), ("t1", 1, 1, 1, 40)])
+def test_walk_size_closed_form_is_the_sum_over_cases(monkeypatch, identity, width, readings,
+                                                      n_max, m_max):
+    # the guard sums C(n - 1 + wm, wm) per n and m; summed case by case over
+    # k it is the same total, so the refusal falls exactly at that total
+    total = sum(readings * width * m * math.comb(n - k + width * m - 1, width * m - 1)
+                for n in range(1, n_max + 1) for m in range(1, m_max + 1)
+                for k in range(1, n + 1))
+    monkeypatch.setattr(identities, "MAX_FACTOR_PRODUCTS", total - 1)
+    with pytest.raises(InvalidParameterError,
+                       match=f"{identity} with n_max={n_max}, m_max={m_max} walks compositions"
+                             f" with more than {total - 1} factor products"):
+        verify(identity, n_max, m_max)
+    monkeypatch.setattr(identities, "MAX_FACTOR_PRODUCTS", total)
+    assert verify(identity, n_max, m_max).all_equal is (identity != "remark")
+
+
 def test_walk_size_limit_comes_before_any_series():
     clear_series_caches()
     for identity, n_max, m_max in (("remark", 30, 10), ("remark", 10**6, 10**6),
@@ -369,6 +399,16 @@ def test_verify_validation():
         verify("t1", 4, 2, a=2)
     with pytest.raises(InvalidParameterError, match="takes no family"):
         verify("t2", 4, 2, family_name="abel")
+
+
+def test_t3_and_xcheck_abel_refuse_a_zero_parameter_alike():
+    # both read the abel family, which refuses a = 0 before any work
+    messages = []
+    for identity, family_name in (("t3", None), ("xcheck", "abel")):
+        with pytest.raises(InvalidParameterError) as refused:
+            verify(identity, 3, 2, a=0, family_name=family_name)
+        messages.append(str(refused.value))
+    assert messages == ["abel family needs a nonzero parameter"] * 2
 
 
 def test_report_serialisation_shapes():
