@@ -14,6 +14,11 @@ iteration on ``f(h) = t`` (Brent & Kung, "Fast algorithms for manipulating
 formal power series", J. ACM 25(4), 1978).  All are exact, so
 ``f.compose(f.revert()) == t`` holds at every retained truncation.
 
+Work is cut by order, never by approximation: a product convolves only past
+its operands' leading zeros, and each Horner step of a composition runs at
+the width its block can still reach, so the ``n/k`` giant-step products
+narrow by ``k`` each step and cost about a third of full-width ones.
+
 Exponential-generating-function coefficients ``a_n = n! * c_n`` are exposed
 only through :meth:`Series.egf_coefficient`; all internal arithmetic stays
 on ordinary coefficients.
@@ -92,10 +97,8 @@ class Series:
     def order(self) -> Optional[int]:
         """Index of the first nonzero coefficient, or None when every
         retained coefficient vanishes (order beyond truncation)."""
-        for k, c in enumerate(self._coeffs):
-            if c:
-                return k
-        return None
+        v = _zero_prefix(self._coeffs, self.trunc)
+        return None if v == self.trunc else v
 
     def truncated(self, trunc: int) -> "Series":
         """A copy with fewer retained coefficients; never extends."""
@@ -133,13 +136,19 @@ class Series:
     def __mul__(self, other: ScalarOrSeries) -> "Series":
         if isinstance(other, Series):
             n = min(self.trunc, other.trunc)
+            # t^(va+vb) (self/t^va) (other/t^vb): only the width past both
+            # known zero prefixes is convolved
+            va, vb = _zero_prefix(self._coeffs, n), _zero_prefix(other._coeffs, n)
+            w = n - va - vb
+            if w <= 0:
+                return Series.zero(n)
             # convolve over a common denominator: one reduction per output
             # coefficient instead of one per partial sum
-            a, da = scaled_to_integers(self._coeffs[:n])
-            b, db = scaled_to_integers(other._coeffs[:n])
+            a, da = scaled_to_integers(self._coeffs[va:va + w])
+            b, db = scaled_to_integers(other._coeffs[vb:vb + w])
             d = da * db
-            out = []
-            for k in range(n):
+            out = [Fraction(0)] * (va + vb)
+            for k in range(w):
                 acc = 0
                 for i in range(k + 1):
                     if a[i] and b[k - i]:
@@ -209,10 +218,15 @@ class Series:
         and ``k = isqrt(n - 1) + 1``, the outer coefficients split into
         blocks of ``k``; each block is an exact linear combination of the
         baby powers ``inner^0 .. inner^(k-1)``, and Horner in the giant
-        power ``inner^k`` sums the blocks.  That is about ``2 sqrt(n)``
-        products instead of ``n``.  A constant outer series (every
-        coefficient above index 0 zero below ``n``) is returned as that
-        constant at once, with no products.
+        power ``inner^k`` sums the blocks.  The block starting at ``s``
+        reaches the result through ``inner^s``, of order at least ``s``, so
+        Horner keeps it only to width ``n - s`` and forms each step as
+        ``t^k * acc * (inner^k / t^k)`` at width ``n - s - k``.  That is
+        ``k - 1`` baby products at width ``n`` (less their zero prefixes)
+        and about ``n/k`` Horner products whose widths fall by ``k`` a
+        step, instead of ``n`` full-width products.  A constant outer
+        series (every coefficient above index 0 zero below ``n``) is
+        returned as that constant at once, with no products.
         """
         if not isinstance(inner, Series):
             raise TypeError("compose expects a Series")
@@ -226,7 +240,8 @@ class Series:
         powers = [Series.constant(1, n), g]
         while len(powers) <= k:
             powers.append(powers[-1] * g)
-        giant = powers.pop()
+        # inner^k has order >= k, so inner^k / t^k is a series
+        lifted = powers.pop()._coeffs[k:]
         # baby powers as integer rows over one common denominator, so each
         # block coefficient is one integer sum and one Fraction
         flat, d = scaled_to_integers(c for p in powers for c in p._coeffs)
@@ -234,12 +249,18 @@ class Series:
         outer = self._coeffs[:n]
         acc = None
         for start in reversed(range(0, n, k)):
-            block = outer[start:start + k]
-            ints, da = scaled_to_integers(block)
+            # inner^start has order >= start: only n - start coefficients
+            # of this block and of everything above it reach the result
+            width = n - start
+            ints, da = scaled_to_integers(outer[start:start + k])
             scaled = [(a, row) for a, row in zip(ints, rows) if a]
-            part = Series([Fraction(sum(a * row[j] for a, row in scaled), da * d)
-                           for j in range(n)])
-            acc = part if acc is None else acc * giant + part
+            part = [Fraction(sum(a * row[j] for a, row in scaled), da * d)
+                    for j in range(width)]
+            if acc is not None:
+                # acc * inner^k = t^k acc (inner^k / t^k), acc of width - k
+                step = acc * Series(lifted[:width - k])
+                part[k:] = map(operator.add, part[k:], step._coeffs)
+            acc = Series(part)
         return acc
 
     __call__ = compose
@@ -289,6 +310,14 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({self.to_text()!r})"
+
+
+def _zero_prefix(coeffs: tuple, n: int) -> int:
+    """How many of ``coeffs[:n]`` lead as zeros (``n`` when all do)."""
+    v = 0
+    while v < n and not coeffs[v]:
+        v += 1
+    return v
 
 
 def _miller(a, u: int, v: int, q: int) -> list:

@@ -188,6 +188,26 @@ def test_compose_rejects_invertible_inner():
         Series.t(4).compose(Series.from_text("1,1", trunc=4))
 
 
+def test_compose_horner_products_narrow_with_their_block(monkeypatch):
+    # the block starting at s reaches the result through inner^s, so the
+    # Horner products run below the full width n; at full width each of the
+    # products would cost n(n+1)/2 coefficient products
+    n = 128
+    widths = []
+    mul = Series.__mul__
+
+    def recording_mul(a, b):
+        if isinstance(b, Series):
+            widths.append(min(a.trunc, b.trunc))
+        return mul(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", recording_mul)
+    inner = Series.from_text("0,1,-1/2,1/3", trunc=n)
+    Series([F(1, k + 1) for k in range(n)]).compose(inner)
+    assert min(widths) < n
+    assert sum(w * (w + 1) // 2 for w in widths) <= 0.75 * len(widths) * n * (n + 1) // 2
+
+
 # -- reversion ----------------------------------------------------------------------------
 
 
@@ -383,6 +403,15 @@ def coeff_lists(low, high):
 @example([F(5)] + [F(0)] * 7, 3, 1, F(1, 2), [F(-1)])
 @example([F(7), F(0), F(0), F(1)], 3, 2, F(1), [])
 @example([F(7), F(0), F(0)], 9, None, F(1), [])
+# block size k = isqrt(n - 1) + 1: at n = 16 k = 4 divides n; at n = 17 and
+# n = 21 k = 5, so the last block holds two and one coefficients
+@example([F(1, k + 1) for k in range(16)], 16, 1, F(1), [F(-1), F(2)])
+@example([F(k % 3 - 1) for k in range(17)], 17, 1, F(-1, 2), [F(1)])
+@example([F(k % 3 - 1) for k in range(21)], 30, 1, F(2), [F(1, 2)])
+# inners of order 2 and 3: inner^k has order 2k or 3k, past the block width
+# k = 4, and at n = 12 and order 3 it vanishes below n
+@example([F(1)] * 10, 10, 2, F(1), [F(1)])
+@example([F(k, k + 1) for k in range(12)], 12, 3, F(-2), [F(1, 3), F(1)])
 def test_compose_matches_brute_force(outer, inner_trunc, order, lead, tail):
     f = Series(outer)
     g = inner_series(inner_trunc, order, lead, tail)
@@ -444,6 +473,26 @@ def test_rat_pow_matches_power_oracle(tail, p, q):
     n = s.trunc
     root = s.rat_pow(F(p, q))
     assert conv_power(root.coeffs, q, n) == conv_power(s.coeffs, p, n)
+
+
+def zero_led(zeros, lead, tail, trunc):
+    """A series that opens with ``zeros`` zeros; all zero when ``zeros >= trunc``."""
+    return Series([F(0)] * zeros + [lead] + tail, trunc=trunc)
+
+
+zero_led_series = st.builds(zero_led, st.integers(0, 12), wide_nonzero, wide_lists(0, 12),
+                            st.integers(1, 14))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_led_series, zero_led_series)
+@example(zero_led(3, F(1), [], 2), zero_led(0, F(1, 3), [F(2)], 6))  # a run past trunc
+@example(zero_led(4, F(1), [], 8), zero_led(4, F(-1, 2), [F(3)], 8))  # runs summing to trunc
+@example(zero_led(2, F(-1), [F(1, 2)], 9), zero_led(4, F(5), [], 7))  # one coefficient left
+@example(zero_led(0, F(0), [], 5), zero_led(1, F(2), [F(1)], 5))  # the zero series
+def test_mul_past_zero_prefixes_matches_conv_product(a, b):
+    n = min(a.trunc, b.trunc)
+    assert (a * b).coeffs == tuple(conv_product(a.coeffs, b.coeffs, n))
 
 
 @settings(max_examples=60, deadline=None)
