@@ -5,15 +5,14 @@ Exit status:
 - 0: the command succeeded and, for ``verify``, every case passed.
 - 1: at least one identity case failed; the full report is still emitted.
 - 2: a usage or parameter error, including a parameter that does not apply
-  to the command (such as ``--a`` with ``verify t1``), or an I/O error such
-  as an ``--output`` path that cannot be written.  The message goes to
-  stderr after ``error:``.
+  to the command (such as ``--a`` with ``verify t1``), an I/O error such
+  as an ``--output`` path that cannot be written, or running out of memory.
+  The message goes to stderr after ``error:``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -117,6 +116,7 @@ def _emit(args, plain_lines, csv_lines, to_json_obj) -> None:
     if args.format == "csv":
         lines = csv_lines()
     elif args.format == "json":
+        import json  # only here: no other format needs it, and it costs every start
         lines = [json.dumps(to_json_obj(), indent=2)]
     else:
         lines = plain_lines()
@@ -211,6 +211,9 @@ def _run(argv: Optional[List[str]]) -> int:
         return args.handler(args)
     except UmbralError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import InvalidParameterError
 from .rationals import RationalLike, align_columns, format_rational, scaled_to_integers
@@ -183,14 +182,19 @@ def _chain_side(n: int, tables, den: int, literal: bool):
     Lists each composition of n - k into m blocks of w = len(tables) parts
     with its term of :func:`_prefix_side`'s sum, read from the same integer
     factor rows, in the lexicographic order of ``compositions``; a term is
-    an integer product with one ``Fraction``.
+    an integer product with one ``Fraction``.  The multinomial is
+    (n-1)!/(k-1)! divided by each part's factorial, read from one table.
     """
     width = len(tables)
+    fact = [math.factorial(i) for i in range(n)]
 
     def terms(k: int, m: int):
         listed = []
+        top = fact[n - 1] // fact[k - 1]
         for parts in compositions(n - k, width * m):
-            term = multinomial(n - 1, parts + (k - 1,)).numerator
+            term = top
+            for part in parts:
+                term //= fact[part]
             used = row = 0
             for slot, part in enumerate(parts):
                 i, j = divmod(slot, width)
@@ -265,8 +269,7 @@ def _readings(identity: str, m_max: int, a: Optional[Fraction]):
 # -- reports ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     n: int
     m: int
     k: int
@@ -282,11 +285,41 @@ class IdentityCase:
         return f"{identity.lower()}:{self.interpretation}"
 
 
-@dataclass(frozen=True)
 class IdentityReport:
+    """One identity's cases on a grid.  ``params`` describes the grid and is
+    left out of equality and hashing; the report is immutable."""
+
+    __slots__ = ("identity", "params", "cases")
     identity: str
-    params: Dict[str, object] = field(compare=False)
-    cases: Tuple[IdentityCase, ...] = ()
+    params: Dict[str, object]
+    cases: Tuple[IdentityCase, ...]
+
+    def __init__(self, identity: str, params: Dict[str, object],
+                 cases: Tuple[IdentityCase, ...] = ()):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "cases", cases)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.identity, self.cases) == (other.identity, other.cases)
+
+    def __hash__(self):
+        return hash((self.identity, self.cases))
+
+    def __reduce__(self):
+        return type(self), (self.identity, self.params, self.cases)
+
+    def __repr__(self):
+        return (f"IdentityReport(identity={self.identity!r}, params={self.params!r},"
+                f" cases={self.cases!r})")
 
     @property
     def all_equal(self) -> bool:

@@ -14,9 +14,8 @@ and operator images are all coefficient rows, lowest degree first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     ClassMismatchError,
@@ -141,8 +140,7 @@ def sheffer_triangle(pair: ShefferPair, n_max: int) -> CoeffTriangle:
     return CoeffTriangle(rows)
 
 
-@dataclass(frozen=True)
-class OrthogonalityCase:
+class OrthogonalityCase(NamedTuple):
     n: int
     k: int
     value: Fraction
@@ -150,8 +148,7 @@ class OrthogonalityCase:
     ok: bool
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     cases: Tuple[OrthogonalityCase, ...]
 
     @property
@@ -262,8 +259,7 @@ def mittag_leffler_delta(trunc: int) -> Series:
     return em1 * ep1.inv()
 
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     """One family: its ``umbral table`` name, the names :func:`family` accepts
     (canonical first; none without a delta series) and its builders, which
     take ``a`` as a trailing argument exactly when ``takes_a``."""
@@ -292,22 +288,45 @@ FAMILIES = (
 _BY_NAME = {name: row for row in FAMILIES for name in row.names}
 
 
-@dataclass(frozen=True)
 class SequenceFamily:
-    """One of the worked associated sequences (g = 1), with closed triangle."""
+    """One of the worked associated sequences (g = 1), with closed triangle.
+    Immutable; equal when name and parameter are."""
 
+    __slots__ = ("name", "a")
     name: str
-    a: Optional[Fraction] = None
+    a: Optional[Fraction]
 
-    def __post_init__(self):
-        row = _BY_NAME.get(self.name)
-        if row is None or row.names[0] != self.name:
-            raise InvalidParameterError(f"unknown family {self.name!r}")
+    def __init__(self, name: str, a: Optional[Fraction] = None):
+        row = _BY_NAME.get(name)
+        if row is None or row.names[0] != name:
+            raise InvalidParameterError(f"unknown family {name!r}")
         if row.takes_a:
-            if self.a is None or self.a == 0:
-                raise InvalidParameterError(f"{self.name} family needs a nonzero parameter")
-        elif self.a is not None:
-            raise InvalidParameterError(f"family {self.name!r} takes no parameter")
+            if a is None or a == 0:
+                raise InvalidParameterError(f"{name} family needs a nonzero parameter")
+        elif a is not None:
+            raise InvalidParameterError(f"family {name!r} takes no parameter")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "a", a)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.a) == (other.name, other.a)
+
+    def __hash__(self):
+        return hash((self.name, self.a))
+
+    def __reduce__(self):
+        return type(self), (self.name, self.a)
+
+    def __repr__(self):
+        return f"SequenceFamily(name={self.name!r}, a={self.a!r})"
 
     def _params(self) -> tuple:
         return () if self.a is None else (self.a,)

@@ -82,10 +82,13 @@ def lah_triangle(n_max: int, signed: bool = False) -> CoeffTriangle:
 
 
 # Entries kept per series cache.  Every benchmark workload stays far below it
-# (at most 32 Bernoulli and 12 Euler keys in one process), and a t1 grid
-# needs about 2 n_max orders, so grids to n_max = 60 never evict; at trunc 64
-# a full cache holds about 1.3 MB.  A miss costs one O(trunc^2) integer pass
-# of Series.rat_pow (Miller's recurrence), for integer orders as for others.
+# (at most 32 Bernoulli and 12 Euler keys in one process).  A t1 grid reads
+# one key per order and padded truncation, measured 120 keys at n_max = 40,
+# 182 at 50 and 256 at 60, so grids past n_max = 40 evict: at n_max = 60 the
+# cache is full and m_max = 1 misses 256 times, m_max = 2 3,748 times.  At
+# trunc 64 a full cache holds about 1.3 MB.  A miss costs one O(trunc^2)
+# integer pass of Series.rat_pow (Miller's recurrence), for integer orders as
+# for others.
 _SERIES_CACHE_SIZE = 128
 
 

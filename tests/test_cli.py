@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbral import InvalidParameterError, OutOfRangeError, format_rational, parse_rational, special
+from umbral import InvalidParameterError, OutOfRangeError, cli, format_rational, parse_rational, special
 from umbral.cli import IDENTITIES, SERIES_OPS, main
 from umbral.rationals import scaled_to_integers
 from umbral.sheffer import FAMILIES
@@ -260,6 +260,20 @@ def test_unwritable_output_is_an_error_not_a_failure(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("_cmd_table", ("table", "--family", "lah", "--n-max", "2")),
+    ("_cmd_series", ("series", "revert", "--coeffs", "0,1")),
+    ("_cmd_verify", ("verify", "t1", "--n-max", "2", "--m-max", "1")),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
+def test_out_of_memory_is_a_resource_error(command, argv, monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, command, exhausted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,11 @@
 """The public surface: ``umbral.__all__`` is exactly this list, so every
-addition or removal of a public name is made on purpose."""
+addition or removal of a public name is made on purpose.  Importing the
+package loads no standard module that no result needs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import umbral
 
@@ -50,3 +56,16 @@ def test_star_import_binds_every_name():
     namespace = {}
     exec("from umbral import *", namespace)
     assert [name for name in PUBLIC_NAMES if name not in namespace] == []
+
+
+def test_import_path_leaves_out_unused_stdlib_modules():
+    # a fresh interpreter without site, so only the package's own imports count
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, umbral.cli; print(umbral.__file__); "
+            "print(*[name for name in ('dataclasses', 'inspect', 'json') if name in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    origin, loaded = result.stdout.splitlines()
+    assert Path(origin).is_relative_to(src)
+    assert loaded == ""
