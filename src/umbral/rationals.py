@@ -6,10 +6,11 @@ form (reduced, positive denominator) and compares structurally.
 This module owns the text representation used by the CLI and all
 exporters, ``p`` or ``p/q`` with an optional sign and no whitespace; the
 aligned-column layout of the plain-text tables; and
-:func:`scaled_to_integers`, which every integer kernel uses to put
-rationals over one common denominator.  Text past Python's int/str digit
-limit, which is left as the caller set it, is an error of this package
-that names ``sys.set_int_max_str_digits``.
+:func:`scaled_to_integers`, which puts rationals over their least common
+denominator wherever integer arithmetic starts from them (a ``Series``
+built from rationals, triangle products, the identity factor tables).
+Text past Python's int/str digit limit, which is left as the caller set
+it, is an error of this package that names ``sys.set_int_max_str_digits``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: RationalLike) -> str:
     """Canonical ``p`` or ``p/q`` text, the inverse of :func:`parse_rational`."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     try:
         return str(value)
     except ValueError as exc:

@@ -6,6 +6,16 @@ Everything is exact rational arithmetic.  Binary operations truncate to the
 shorter operand and no operation ever extends precision, so a coefficient
 that is present is always correct.
 
+A series is stored as integer numerators over one positive denominator,
+``c_k = nums[k] / den``, in lowest terms over the whole tuple:
+``gcd(den, *nums) == 1``, which is the least-common-denominator form of the
+coefficients.  The form is canonical, so ``==`` and ``hash`` compare it
+directly.  Every kernel reads and returns it and reduces its result by one
+``gcd``; no kernel builds a :class:`Fraction` per coefficient only for the
+next one to scale it back to integers.  The tuple of :class:`Fraction`
+coefficients, :attr:`Series.coeffs`, is built on first read and kept (a
+series built from rationals, or by :func:`_miller`, has it from the start).
+
 Every power, integer or rational, the inverse and the exponential are one
 integer kernel, J. C. P. Miller's power recurrence over a running lcm
 denominator (:func:`_miller`); there is no second powering algorithm.
@@ -40,7 +50,7 @@ ScalarOrSeries = Union["Series", Fraction, int]
 class Series:
     """Immutable truncated power series with :class:`Fraction` coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[RationalLike], trunc: Optional[int] = None):
         # a Fraction is immutable and kept as is; Fraction(Fraction) costs an abc check
@@ -54,13 +64,17 @@ class Series:
                 del items[trunc:]
         if not items:
             raise InvalidParameterError("a series needs at least one retained coefficient")
+        nums, self._den = scaled_to_integers(items)
+        self._nums = tuple(nums)
         self._coeffs = tuple(items)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def constant(cls, value: RationalLike, trunc: int) -> "Series":
-        return cls([Fraction(value)], trunc=trunc)
+        if trunc < 1:
+            raise InvalidParameterError("truncation must be a positive integer")
+        return _constant(Fraction(value), trunc)
 
     @classmethod
     def t(cls, trunc: int) -> "Series":
@@ -69,7 +83,7 @@ class Series:
 
     @classmethod
     def zero(cls, trunc: int) -> "Series":
-        return cls([0], trunc=trunc)
+        return cls.constant(0, trunc)
 
     @classmethod
     def from_text(cls, text: str, trunc: Optional[int] = None) -> "Series":
@@ -83,44 +97,50 @@ class Series:
 
     @property
     def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(x, den) for x in self._nums)
         return self._coeffs
 
     @property
     def trunc(self) -> int:
-        return len(self._coeffs)
+        return len(self._nums)
 
     def __getitem__(self, k: int) -> Fraction:
-        if not 0 <= k < len(self._coeffs):
+        if not 0 <= k < len(self._nums):
             raise OutOfRangeError(f"coefficient index {k} outside truncation {self.trunc}")
-        return self._coeffs[k]
+        return self.coeffs[k]
 
     def order(self) -> Optional[int]:
         """Index of the first nonzero coefficient, or None when every
         retained coefficient vanishes (order beyond truncation)."""
-        v = _zero_prefix(self._coeffs, self.trunc)
+        v = _zero_prefix(self._nums, self.trunc)
         return None if v == self.trunc else v
 
     def truncated(self, trunc: int) -> "Series":
         """A copy with fewer retained coefficients; never extends."""
         if not 1 <= trunc <= self.trunc:
             raise OutOfRangeError(f"cannot truncate length-{self.trunc} series to {trunc}")
-        return Series(self._coeffs[:trunc])
+        return _reduced(self._nums[:trunc], self._den)
 
     def egf_coefficient(self, n: int) -> Fraction:
         """The exponential coefficient ``a_n = n! * c_n``."""
         if not 0 <= n < self.trunc:
             raise OutOfRangeError(f"coefficient index {n} outside truncation {self.trunc}")
-        return math.factorial(n) * self._coeffs[n]
+        return math.factorial(n) * self.coeffs[n]
 
     # -- ring operations (result truncation = min of operands) ----------
 
     def __add__(self, other: ScalarOrSeries) -> "Series":
         if isinstance(other, Series):
-            n = min(self.trunc, other.trunc)
-            return Series([self._coeffs[k] + other._coeffs[k] for k in range(n)])
-        c = list(self._coeffs)
-        c[0] += Fraction(other)
-        return Series(c)
+            den = math.lcm(self._den, other._den)
+            sa, sb = den // self._den, den // other._den
+            return _reduced([x * sa + y * sb for x, y in zip(self._nums, other._nums)], den)
+        c = Fraction(other)
+        den = math.lcm(self._den, c.denominator)
+        nums = [x * (den // self._den) for x in self._nums]
+        nums[0] += c.numerator * (den // c.denominator)
+        return _reduced(nums, den)
 
     __radd__ = __add__
 
@@ -131,32 +151,30 @@ class Series:
         return (-self) + other
 
     def __neg__(self) -> "Series":
-        return Series([-c for c in self._coeffs])
+        return _series(tuple(-x for x in self._nums), self._den)
 
     def __mul__(self, other: ScalarOrSeries) -> "Series":
         if isinstance(other, Series):
             n = min(self.trunc, other.trunc)
             # t^(va+vb) (self/t^va) (other/t^vb): only the width past both
             # known zero prefixes is convolved
-            va, vb = _zero_prefix(self._coeffs, n), _zero_prefix(other._coeffs, n)
+            va, vb = _zero_prefix(self._nums, n), _zero_prefix(other._nums, n)
             w = n - va - vb
             if w <= 0:
-                return Series.zero(n)
-            # convolve over a common denominator: one reduction per output
-            # coefficient instead of one per partial sum
-            a, da = scaled_to_integers(self._coeffs[va:va + w])
-            b, db = scaled_to_integers(other._coeffs[vb:vb + w])
-            d = da * db
-            out = [Fraction(0)] * (va + vb)
+                return _constant(Fraction(0), n)
+            # numerators convolve over the product of the denominators
+            a, b = self._nums[va:va + w], other._nums[vb:vb + w]
+            out = [0] * (va + vb)
             for k in range(w):
                 acc = 0
                 for i in range(k + 1):
                     if a[i] and b[k - i]:
                         acc += a[i] * b[k - i]
-                out.append(Fraction(acc, d))
-            return Series(out)
+                out.append(acc)
+            return _reduced(out, self._den * other._den)
         scalar = Fraction(other)
-        return Series([c * scalar for c in self._coeffs])
+        return _reduced([x * scalar.numerator for x in self._nums],
+                        self._den * scalar.denominator)
 
     __rmul__ = __mul__
 
@@ -174,21 +192,30 @@ class Series:
         """
         alpha = Fraction(alpha)
         p, q = alpha.numerator, alpha.denominator
-        a, n = self._coeffs, len(self._coeffs)
-        if a[0] == 1:
-            return Series(_miller(a, p + q, -q, q))
+        a, den, n = self._nums, self._den, len(self._nums)
+        if a[0] == den:  # c_0 = 1
+            return _series(*_miller(a, den, p + q, -q, q))
         if q != 1:
             raise ClassMismatchError("rational power needs constant term 1")
-        if a[0]:
-            scale = a[0] ** p
-            return Series([c * scale for c in _miller([c / a[0] for c in a], p + 1, -1, 1)])
+        lead = a[0]
+        if lead:
+            # self/c_0 has numerators a over a_0; keep its denominator positive
+            sign = -1 if lead < 0 else 1
+            g = math.gcd(*a)
+            nums, lcm, _ = _miller([sign * x // g for x in a], sign * lead // g, p + 1, -1, 1)
+            # times c_0^p = (a_0/den)^p, again over a positive denominator
+            up, down = (lead ** p, den ** p) if p >= 0 else (den ** -p, lead ** -p)
+            if down < 0:
+                up, down = -up, -down
+            return _reduced([x * up for x in nums], lcm * down)
         if p < 0:
             raise ClassMismatchError("multiplicative inverse needs an invertible series (order 0)")
         v = self.order()
         if p == 0 or v is None or v * p >= n:
-            return Series.constant(1 if p == 0 else 0, n)
+            return _constant(Fraction(1 if p == 0 else 0), n)
         shift = v * p
-        return Series([0] * shift + list(Series(a[v:v + n - shift]).rat_pow(p)._coeffs))
+        power = _reduced(a[v:v + n - shift], den).rat_pow(p)
+        return _series((0,) * shift + power._nums, power._den)
 
     __pow__ = rat_pow
 
@@ -197,9 +224,9 @@ class Series:
     def exp(self) -> "Series":
         """Series exponential by :func:`_miller` (``E' = E s'``); requires
         order >= 1 (zero constant term)."""
-        if self._coeffs[0] != 0:
+        if self._nums[0] != 0:
             raise ClassMismatchError("series exponential needs order >= 1")
-        return Series(_miller(self._coeffs, 1, 0, 1))
+        return _series(*_miller(self._nums, self._den, 1, 0, 1))
 
     # -- calculus helpers -------------------------------------------------
 
@@ -207,7 +234,7 @@ class Series:
         """Termwise derivative; the truncation shrinks by one."""
         if self.trunc < 2:
             raise OutOfRangeError("derivative of a single-coefficient series is undetermined")
-        return Series([(k + 1) * c for k, c in enumerate(self._coeffs[1:])])
+        return _reduced([k * x for k, x in enumerate(self._nums[1:], 1)], self._den)
 
     # -- composition -----------------------------------------------------
 
@@ -227,40 +254,49 @@ class Series:
         step, instead of ``n`` full-width products.  A constant outer
         series (every coefficient above index 0 zero below ``n``) is
         returned as that constant at once, with no products.
+
+        The baby powers share one lcm denominator, each block sum is one
+        integer vector over it, and a Horner step adds two integer vectors
+        over the lcm of their denominators.
         """
         if not isinstance(inner, Series):
             raise TypeError("compose expects a Series")
         if inner.order() == 0:
             raise ClassMismatchError("composition needs an inner series of order >= 1")
         n = min(self.trunc, inner.trunc)
-        if not any(self._coeffs[1:n]):
-            return Series.constant(self._coeffs[0], n)
+        outer, od = self._nums[:n], self._den
+        if not any(outer[1:]):
+            return _constant(Fraction(outer[0], od), n)
         k = math.isqrt(n - 1) + 1
         g = inner.truncated(n)
-        powers = [Series.constant(1, n), g]
+        powers = [_constant(Fraction(1), n), g]
         while len(powers) <= k:
             powers.append(powers[-1] * g)
-        # inner^k has order >= k, so inner^k / t^k is a series
-        lifted = powers.pop()._coeffs[k:]
-        # baby powers as integer rows over one common denominator, so each
-        # block coefficient is one integer sum and one Fraction
-        flat, d = scaled_to_integers(c for p in powers for c in p._coeffs)
-        rows = [flat[i:i + n] for i in range(0, len(flat), n)]
-        outer = self._coeffs[:n]
+        giant = powers.pop()
+        # baby powers as integer rows over one common denominator d
+        d = math.lcm(*(p._den for p in powers))
+        rows = [[x * (d // p._den) for x in p._nums] for p in powers]
         acc = None
         for start in reversed(range(0, n, k)):
             # inner^start has order >= start: only n - start coefficients
             # of this block and of everything above it reach the result
             width = n - start
-            ints, da = scaled_to_integers(outer[start:start + k])
-            scaled = [(a, row) for a, row in zip(ints, rows) if a]
-            part = [Fraction(sum(a * row[j] for a, row in scaled), da * d)
-                    for j in range(width)]
+            block = outer[start:start + k]
+            # the block over its own least denominator keeps the sums small
+            e = math.gcd(od, *block)
+            scaled = [(x // e, row) for x, row in zip(block, rows) if x]
+            part = [sum(x * row[j] for x, row in scaled) for j in range(width)]
+            den = od // e * d
             if acc is not None:
-                # acc * inner^k = t^k acc (inner^k / t^k), acc of width - k
-                step = acc * Series(lifted[:width - k])
-                part[k:] = map(operator.add, part[k:], step._coeffs)
-            acc = Series(part)
+                # acc * inner^k = t^k acc (inner^k / t^k), acc of width - k;
+                # inner^k has order >= k, so inner^k / t^k is a series
+                step = acc * _reduced(giant._nums[k:width], giant._den)
+                merged = math.lcm(den, step._den)
+                sp, ss = merged // den, merged // step._den
+                part = ([x * sp for x in part[:k]]
+                        + [x * sp + y * ss for x, y in zip(part[k:], step._nums)])
+                den = merged
+            acc = _reduced(part, den)
         return acc
 
     __call__ = compose
@@ -272,73 +308,102 @@ class Series:
         each step (the last step is clipped to the truncation).  A step
         needs one composition ``f(h)``; ``f'(h)`` comes from the chain rule
         as ``f(h)' / h'``.  The round trip ``compose(f, revert(f)) = t`` is
-        exact at the retained truncation.
+        exact at the retained truncation.  ``h`` is kept as integer
+        numerators over one denominator throughout.
         """
         if self.order() != 1:
             raise ClassMismatchError("compositional inverse needs a delta series (order exactly 1)")
         n = self.trunc
-        h = [Fraction(0), 1 / self._coeffs[1]]
+        lead = Fraction(self._den, self._nums[1])  # 1 / c_1
+        h, hd = [0, lead.numerator], lead.denominator  # h_j = h[j] / hd
         while len(h) < n:
             old = len(h)
             prec = min(2 * old, n)
             # h is exact below old; the zeros above it are placeholders that
             # this step overwrites with the correction
-            padded = Series(h, trunc=prec)
+            padded = _series(tuple(h) + (0,) * (prec - old), hd)
             fh = self.compose(padded)
             # f(h) - t vanishes below old, so the correction (f(h) - t) / f'(h),
             # with f'(h) = f(h)' / h', only touches coefficients old .. prec-1
             m = prec - old
-            err = Series(fh._coeffs[old:])
+            err = _reduced(fh._nums[old:], fh._den)
             dh = padded.derivative().truncated(m)
             dfh = fh.derivative().truncated(m)
-            h.extend(-c for c in (err * dh * dfh.inv())._coeffs)
-        return Series(h)
+            step = err * dh * dfh.inv()
+            # h and the correction are each in lowest terms, so they are
+            # over the lcm of their denominators too
+            den = math.lcm(hd, step._den)
+            sh, ss = den // hd, den // step._den
+            h = [x * sh for x in h] + [-x * ss for x in step._nums]
+            hd = den
+        return _series(tuple(h), hd)
 
     # -- text form and dunders --------------------------------------------
 
     def to_text(self) -> str:
         """Literal format ``"c0,c1,c2,..."`` with canonical rational entries."""
-        return ",".join(format_rational(c) for c in self._coeffs)
+        return ",".join(format_rational(c) for c in self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._den, self._nums))
 
     def __repr__(self) -> str:
         return f"Series({self.to_text()!r})"
 
 
-def _zero_prefix(coeffs: tuple, n: int) -> int:
-    """How many of ``coeffs[:n]`` lead as zeros (``n`` when all do)."""
+def _series(nums: tuple, den: int, coeffs: Optional[tuple] = None) -> Series:
+    """The series ``nums / den``, which must already be in lowest terms."""
+    s = object.__new__(Series)
+    s._nums, s._den, s._coeffs = nums, den, coeffs
+    return s
+
+
+def _reduced(nums, den: int) -> Series:
+    """The series ``nums / den`` (``den > 0``) in lowest terms, by one gcd."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return _series(tuple(nums), den)
+    return _series(tuple(x // g for x in nums), den // g)
+
+
+def _constant(value: Fraction, n: int) -> Series:
+    return _series((value.numerator,) + (0,) * (n - 1), value.denominator)
+
+
+def _zero_prefix(nums: tuple, n: int) -> int:
+    """How many of ``nums[:n]`` lead as zeros (``n`` when all do)."""
     v = 0
-    while v < n and not coeffs[v]:
+    while v < n and not nums[v]:
         v += 1
     return v
 
 
-def _miller(a, u: int, v: int, q: int) -> list:
-    """Coefficients ``P_0 .. P_{n-1}`` (``n = len(a)``) of the series with
-    ``P_0 = 1`` and, for ``k >= 1``,
+def _miller(a, d: int, u: int, v: int, q: int) -> tuple:
+    """The series with ``P_0 = 1`` and, for ``1 <= k < n = len(a)``,
 
-        q k P_k = sum_{i=1..k} (u i + v k) a_i P_{k-i}.
+        q k P_k = sum_{i=1..k} (u i + v k) a_i P_{k-i},
+
+    for the coefficients ``a_i = a[i] / d`` (``a`` integers, ``d > 0``), as
+    the triple ``(nums, lcm, coeffs)``: its numerators over its lowest
+    common denominator, which :func:`_series` takes as they are, and its
+    :class:`Fraction` coefficients.
 
     This is J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7):
     for ``a_0 = 1`` the weights ``(p + q, -q, q)`` give ``a^(p/q)``, and
     ``(0, -1, 1)`` give ``1/a``; ``(1, 0, 1)`` give ``exp(a - a_0)``.
     ``a_0`` itself is never read.
 
-    The sums run in integers: ``a`` is scaled once to numerators over its
-    lcm denominator ``d``, and ``P_0 .. P_{k-1}`` are kept as numerators
+    The sums run in integers: ``P_0 .. P_{k-1}`` are kept as numerators
     over the running lcm ``lcm`` of their reduced denominators, rescaled
     only when ``lcm`` grows.  Each coefficient is one integer sum and one
     :class:`Fraction`; no common denominator ``a_0^k d^k`` is ever built.
     """
-    tail, d = scaled_to_integers(a[1:])
-    ints = [0] + tail
+    ints = [0, *a[1:]]
     weighted = [u * i * x for i, x in enumerate(ints)]
     out, nums, lcm = [Fraction(1)], [1], 1  # P_j = nums[j] / lcm
     for k in range(1, len(a)):
@@ -353,4 +418,4 @@ def _miller(a, u: int, v: int, q: int) -> list:
             nums = [x * grow for x in nums]
             lcm *= grow
         nums.append(c.numerator * (lcm // c.denominator))
-    return out
+    return tuple(nums), lcm, tuple(out)

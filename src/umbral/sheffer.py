@@ -131,10 +131,12 @@ def sheffer_triangle(pair: ShefferPair, n_max: int) -> CoeffTriangle:
     columns = [pair.g.compose(fbar).inv()]
     for _ in range(n_max):
         columns.append(columns[-1] * fbar)
+    # each entry is one Fraction from the column's integer numerator and
+    # denominator (Series keeps its coefficients as nums / den)
     rows = []
     for n in range(n_max + 1):
         rows.append([
-            Fraction(math.factorial(n) // math.factorial(k)) * columns[k].coeffs[n]
+            Fraction(math.factorial(n) // math.factorial(k) * columns[k]._nums[n], columns[k]._den)
             for k in range(n + 1)
         ])
     return CoeffTriangle(rows)

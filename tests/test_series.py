@@ -5,10 +5,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction as F
 
+import umbral.series
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from umbral import ClassMismatchError, InvalidParameterError, OutOfRangeError, Series
+from umbral.rationals import scaled_to_integers
 
 from oracles import (brute_compose, classical_bernoulli, conv_inverse, conv_power, conv_product,
                      exp_sum, lagrange_revert)
@@ -506,6 +509,8 @@ def test_mul_past_zero_prefixes_matches_conv_product(a, b):
 @example(1, F(3), [F(1), F(2)], 4)  # (3t + t^2 + 2t^3)^4 at trunc 4: all zeros
 @example(4, F(0), [F(0)] * 3, 0)  # all-zero series
 @example(4, F(0), [F(0)] * 3, 2)
+@example(0, F(-2), [F(1), F(-1, 3), F(0), F(5, 2)], -3)  # negative constant term
+@example(0, F(-2), [F(1, 2), F(3)], 3)
 def test_integer_power_matches_conv_power(zeros, lead, tail, m):
     # any c_0 at order 0, order >= 1 and all-zero series; a negative power
     # needs order 0
@@ -521,6 +526,7 @@ def test_integer_power_matches_conv_power(zeros, lead, tail, m):
 @given(wide_nonzero, wide_lists(0, 29))
 @example(F(-3), [F(1), F(0), F(2)])
 @example(F(5, 7), [])
+@example(F(-2), [F(1), F(-1, 3), F(0), F(5, 2)])  # a negative constant term
 def test_inv_matches_conv_inverse(lead, tail):
     s = Series([lead] + tail)
     assert s.inv().coeffs == tuple(conv_inverse(s.coeffs, s.trunc))
@@ -549,3 +555,73 @@ def test_first_bernoulli_numbers_match_classical_recurrence():
     base = [F(1, math.factorial(k + 1)) for k in range(7)]
     inverted = Series(base).inv()
     assert [inverted.egf_coefficient(n) for n in range(7)] == expected
+
+
+# -- one canonical form: equality, hashing and the integer kernels -------------------------------
+
+def built_by(route, s, other):
+    """A series made from the drawn ``s`` (and ``other``) along one route."""
+    if route == "ctor":
+        return Series(s.coeffs)
+    if route == "text":
+        return Series.from_text(s.to_text())
+    if route == "mul":
+        return s * other
+    if route == "compose":
+        return s.compose(Series([F(0)] + list(other.coeffs[1:]), trunc=other.trunc)
+                         if other.trunc > 1 and other.coeffs[1] else Series.t(s.trunc))
+    if route == "revert":
+        return Series([F(0), F(-2)] + list(s.coeffs[1:]), trunc=s.trunc + 1).revert()
+    if route == "truncated":
+        return s.truncated(max(1, s.trunc - 2))
+    assert route == "rat_pow"
+    return Series([F(1)] + list(s.coeffs[1:])).rat_pow(F(-2, 3))
+
+
+ROUTES = ["ctor", "text", "mul", "compose", "revert", "truncated", "rat_pow"]
+canonical_series = wide_lists(1, 12).map(Series)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ROUTES), canonical_series, canonical_series, canonical_series)
+@example("truncated", Series([F(1), F(0), F(1, 6)]), Series([F(1)]), Series([F(1)]))
+@example("mul", Series([F(-2), F(1, 2)]), Series([F(1, 2), F(2)]), Series([F(-1), F(1)]))
+def test_equality_and_hash_follow_the_coefficients(route, s, other, third):
+    made = built_by(route, s, other)
+    for again in (Series(made.coeffs), Series.from_text(made.to_text())):
+        assert made == again and hash(made) == hash(again)
+    for probe in (s, other, third, Series(third.coeffs[:made.trunc])):
+        assert (made == probe) == (made.coeffs == probe.coeffs)
+        if made == probe:
+            assert hash(made) == hash(probe)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ROUTES), canonical_series, canonical_series)
+@example("rat_pow", Series([F(-2), F(1, 3)]), Series([F(1)]))
+@example("truncated", Series([F(1), F(0), F(1, 6)]), Series([F(1)]))
+def test_every_series_is_kept_over_its_least_positive_denominator(route, s, other):
+    # numerators over one denominator d > 0 with gcd(d, *numerators) == 1:
+    # exactly the least-denominator form of the coefficients
+    made = built_by(route, s, other)
+    for series in (made, -made, made * F(-3, 4), made + F(1, 6), made.derivative()
+                   if made.trunc > 1 else made, Series([F(-2)] + list(s.coeffs[1:])) ** -1):
+        nums, den = series._nums, series._den
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert (list(nums), den) == scaled_to_integers(series.coeffs)
+
+
+def test_kernels_scale_no_rationals_once_their_operands_are_built(monkeypatch):
+    n = 24
+    a = Series([F((-1) ** k, k + 1) for k in range(n)])
+    b = Series([F(-2)] + [F(k, 3) for k in range(1, n)])
+    delta = Series([F(0), F(-2, 3)] + [F(1, k) for k in range(2, n)])
+    expected = (a * b, a.compose(delta), delta.revert(), b.rat_pow(-2), a.rat_pow(F(1, 3)))
+
+    def refuse(values):
+        raise AssertionError("scaled_to_integers called inside a kernel")
+
+    monkeypatch.setattr(umbral.series, "scaled_to_integers", refuse)
+    made = (a * b, a.compose(delta), delta.revert(), b.rat_pow(-2), a.rat_pow(F(1, 3)))
+    monkeypatch.undo()
+    assert made == expected
