@@ -199,10 +199,10 @@ class Series:
             raise ClassMismatchError("rational power needs constant term 1")
         lead = a[0]
         if lead:
-            # self/c_0 has numerators a over a_0; keep its denominator positive
-            sign = -1 if lead < 0 else 1
-            g = math.gcd(*a)
-            nums, lcm, _ = _miller([sign * x // g for x in a], sign * lead // g, p + 1, -1, 1)
+            # self/c_0 has numerators a over a_0; a g of a_0's sign keeps
+            # that denominator positive
+            g = math.gcd(*a) if lead > 0 else -math.gcd(*a)
+            nums, lcm, _ = _miller([x // g for x in a], lead // g, p + 1, -1, 1)
             # times c_0^p = (a_0/den)^p, again over a positive denominator
             up, down = (lead ** p, den ** p) if p >= 0 else (den ** -p, lead ** -p)
             if down < 0:

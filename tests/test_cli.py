@@ -366,6 +366,12 @@ def test_rational_text_round_trip(num, den):
         assert parse_rational(format_rational(x)) == x
 
 
+def test_rational_text_of_ints_and_bools():
+    # a Fraction is rendered as it is; anything else goes through Fraction()
+    assert [format_rational(x) for x in (True, False, -3, 0, Fraction(6, -4))] == \
+        ["1", "0", "-3", "0", "-3/2"]
+
+
 @given(st.lists(st.one_of(st.integers(-10 ** 9, 10 ** 9),
                           st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
                                     st.integers(1, 10 ** 9))), max_size=6))

@@ -568,8 +568,7 @@ def built_by(route, s, other):
     if route == "mul":
         return s * other
     if route == "compose":
-        return s.compose(Series([F(0)] + list(other.coeffs[1:]), trunc=other.trunc)
-                         if other.trunc > 1 and other.coeffs[1] else Series.t(s.trunc))
+        return s.compose(Series([F(0), F(-1, 2)] + list(other.coeffs[2:])))
     if route == "revert":
         return Series([F(0), F(-2)] + list(s.coeffs[1:]), trunc=s.trunc + 1).revert()
     if route == "truncated":
