@@ -18,7 +18,8 @@ series built from rationals, or by :func:`_miller`, has it from the start).
 
 Every power, integer or rational, the inverse and the exponential are one
 integer kernel, J. C. P. Miller's power recurrence over a running lcm
-denominator (:func:`_miller`); there is no second powering algorithm.
+denominator (:func:`_miller`); there is no second powering algorithm.  Every
+power of a series of order 0 is one call of it, started from ``c_0^alpha``.
 Composition is Brent–Kung baby-step/giant-step and reversion is Newton
 iteration on ``f(h) = t`` (Brent & Kung, "Fast algorithms for manipulating
 formal power series", J. ACM 25(4), 1978).  All are exact, so
@@ -132,20 +133,16 @@ class Series:
     # -- ring operations (result truncation = min of operands) ----------
 
     def __add__(self, other: ScalarOrSeries) -> "Series":
-        if isinstance(other, Series):
-            den = math.lcm(self._den, other._den)
-            sa, sb = den // self._den, den // other._den
-            return _reduced([x * sa + y * sb for x, y in zip(self._nums, other._nums)], den)
-        c = Fraction(other)
-        den = math.lcm(self._den, c.denominator)
-        nums = [x * (den // self._den) for x in self._nums]
-        nums[0] += c.numerator * (den // c.denominator)
-        return _reduced(nums, den)
+        if not isinstance(other, Series):
+            other = _constant(Fraction(other), self.trunc)
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        return _reduced([x * sa + y * sb for x, y in zip(self._nums, other._nums)], den)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarOrSeries) -> "Series":
-        return self + (-other if isinstance(other, Series) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other: RationalLike) -> "Series":
         return (-self) + other
@@ -187,27 +184,18 @@ class Series:
         :func:`_miller`.
 
         A non-integer ``alpha`` needs ``c_0 = 1``.  An integer ``m`` takes any
-        series of order 0, as ``c_0^m (self/c_0)^m``, and for ``m >= 0`` any
-        series of order ``v >= 1``, as ``t^(vm) (self/t^v)^m``.
+        series of order 0, by Miller's recurrence from ``P_0 = c_0^m``, and
+        for ``m >= 0`` any series of order ``v >= 1``, as
+        ``t^(vm) (self/t^v)^m``.
         """
         alpha = Fraction(alpha)
         p, q = alpha.numerator, alpha.denominator
         a, den, n = self._nums, self._den, len(self._nums)
-        if a[0] == den:  # c_0 = 1
-            return _series(*_miller(a, den, p + q, -q, q))
+        lead = a[0]
+        if lead == den or (q == 1 and lead):  # c_0 = 1, or an integer power of order 0
+            return _series(*_miller(a, lead, p + q, -q, q, Fraction(lead, den) ** p))
         if q != 1:
             raise ClassMismatchError("rational power needs constant term 1")
-        lead = a[0]
-        if lead:
-            # self/c_0 has numerators a over a_0; a g of a_0's sign keeps
-            # that denominator positive
-            g = math.gcd(*a) if lead > 0 else -math.gcd(*a)
-            nums, lcm, _ = _miller([x // g for x in a], lead // g, p + 1, -1, 1)
-            # times c_0^p = (a_0/den)^p, again over a positive denominator
-            up, down = (lead ** p, den ** p) if p >= 0 else (den ** -p, lead ** -p)
-            if down < 0:
-                up, down = -up, -down
-            return _reduced([x * up for x in nums], lcm * down)
         if p < 0:
             raise ClassMismatchError("multiplicative inverse needs an invertible series (order 0)")
         v = self.order()
@@ -226,7 +214,7 @@ class Series:
         order >= 1 (zero constant term)."""
         if self._nums[0] != 0:
             raise ClassMismatchError("series exponential needs order >= 1")
-        return _series(*_miller(self._nums, self._den, 1, 0, 1))
+        return _series(*_miller(self._nums, self._den, 1, 0, 1, Fraction(1)))
 
     # -- calculus helpers -------------------------------------------------
 
@@ -383,29 +371,32 @@ def _zero_prefix(nums: tuple, n: int) -> int:
     return v
 
 
-def _miller(a, d: int, u: int, v: int, q: int) -> tuple:
-    """The series with ``P_0 = 1`` and, for ``1 <= k < n = len(a)``,
+def _miller(a, d: int, u: int, v: int, q: int, p0: Fraction) -> tuple:
+    """The series with ``P_0 = p0`` and, for ``1 <= k < n = len(a)``,
 
-        q k P_k = sum_{i=1..k} (u i + v k) a_i P_{k-i},
+        q k d P_k = sum_{i=1..k} (u i + v k) a[i] P_{k-i},
 
-    for the coefficients ``a_i = a[i] / d`` (``a`` integers, ``d > 0``), as
-    the triple ``(nums, lcm, coeffs)``: its numerators over its lowest
-    common denominator, which :func:`_series` takes as they are, and its
+    for the integers ``a`` and the nonzero integer divisor ``d``, as the
+    triple ``(nums, lcm, coeffs)``: its numerators over its lowest common
+    denominator, which :func:`_series` takes as they are, and its
     :class:`Fraction` coefficients.
 
-    This is J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7):
-    for ``a_0 = 1`` the weights ``(p + q, -q, q)`` give ``a^(p/q)``, and
-    ``(0, -1, 1)`` give ``1/a``; ``(1, 0, 1)`` give ``exp(a - a_0)``.
-    ``a_0`` itself is never read.
+    This is J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7).
+    For a series ``c_i = a[i] / den`` of order 0 the divisor is its integer
+    lead ``a[0]``, as the common denominator cancels from
+    ``q k c_0 P_k = sum (u i + v k) c_i P_{k-i}``; the weights
+    ``(p + q, -q, q)`` from ``p0 = c_0^(p/q)`` give ``c^(p/q)``.  For
+    ``exp`` the divisor is ``den`` and ``(1, 0, 1)`` from ``p0 = 1`` give
+    ``exp(c - c_0)``.  ``a[0]`` itself is never read.
 
     The sums run in integers: ``P_0 .. P_{k-1}`` are kept as numerators
     over the running lcm ``lcm`` of their reduced denominators, rescaled
     only when ``lcm`` grows.  Each coefficient is one integer sum and one
-    :class:`Fraction`; no common denominator ``a_0^k d^k`` is ever built.
+    :class:`Fraction`; no common denominator ``d^k`` is ever built.
     """
     ints = [0, *a[1:]]
     weighted = [u * i * x for i, x in enumerate(ints)]
-    out, nums, lcm = [Fraction(1)], [1], 1  # P_j = nums[j] / lcm
+    out, nums, lcm = [p0], [p0.numerator], p0.denominator  # P_j = nums[j] / lcm
     for k in range(1, len(a)):
         back = nums[::-1]
         acc = sum(map(operator.mul, weighted[1:k + 1], back))

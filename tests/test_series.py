@@ -59,6 +59,11 @@ def test_scalar_add_and_sub():
     s = Series.from_text("0,1,1")
     assert (1 + s).coeffs[0] == 1
     assert (1 - s) == Series.from_text("1,-1,-1")
+    # a scalar over another denominator than the series'
+    s = Series.from_text("1/3,1,1/5")
+    assert s - F(2, 7) == Series.from_text("1/21,1,1/5")
+    assert F(2, 7) - s == Series.from_text("-1/21,-1,-1/5")
+    assert s + True == Series.from_text("4/3,1,1/5")
 
 
 # -- multiplication -----------------------------------------------------------------
@@ -511,6 +516,9 @@ def test_mul_past_zero_prefixes_matches_conv_product(a, b):
 @example(4, F(0), [F(0)] * 3, 2)
 @example(0, F(-2), [F(1), F(-1, 3), F(0), F(5, 2)], -3)  # negative constant term
 @example(0, F(-2), [F(1, 2), F(3)], 3)
+@example(0, F(4), [F(2), F(6)], -3)  # numerators with a common factor
+@example(0, F(-3, 2), [F(1), F(5, 7)], 6)  # a negative rational constant term
+@example(0, F(-3, 2), [F(1), F(5, 7)], -6)
 def test_integer_power_matches_conv_power(zeros, lead, tail, m):
     # any c_0 at order 0, order >= 1 and all-zero series; a negative power
     # needs order 0
@@ -527,6 +535,7 @@ def test_integer_power_matches_conv_power(zeros, lead, tail, m):
 @example(F(-3), [F(1), F(0), F(2)])
 @example(F(5, 7), [])
 @example(F(-2), [F(1), F(-1, 3), F(0), F(5, 2)])  # a negative constant term
+@example(F(-4), [F(2), F(6)])  # numerators with a common factor
 def test_inv_matches_conv_inverse(lead, tail):
     s = Series([lead] + tail)
     assert s.inv().coeffs == tuple(conv_inverse(s.coeffs, s.trunc))
