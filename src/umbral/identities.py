@@ -73,18 +73,18 @@ MAX_FACTOR_PRODUCTS = 10**6
 
 def _check_walk_size(identity: str, n_max: int, m_max: int, readings) -> None:
     # by the hockey-stick identity the cases k = 1..n of one n and m walk
-    # C(n - 1 + wm, wm) compositions of wm factors each
+    # C(n - 1 + wm, wm) compositions of wm factors each, and by it again the
+    # n = 1..n_max of one m walk C(n_max + wm, wm + 1) of them
     widths = [len(factors) for factors, _ in readings.values()]
     total = 0
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            for width in widths:
-                parts = width * m
-                total += parts * math.comb(n - 1 + parts, parts)
-                if total > MAX_FACTOR_PRODUCTS:
-                    raise InvalidParameterError(
-                        f"{identity.lower()} with n_max={n_max}, m_max={m_max} walks"
-                        f" compositions with more than {MAX_FACTOR_PRODUCTS} factor products")
+    for m in range(1, m_max + 1):
+        for width in widths:
+            parts = width * m
+            total += parts * math.comb(n_max + parts, parts + 1)
+            if total > MAX_FACTOR_PRODUCTS:
+                raise InvalidParameterError(
+                    f"{identity.lower()} with n_max={n_max}, m_max={m_max} walks"
+                    f" compositions with more than {MAX_FACTOR_PRODUCTS} factor products")
 
 
 # -- the right sides -----------------------------------------------------------------

@@ -16,10 +16,10 @@ next one to scale it back to integers.  The tuple of :class:`Fraction`
 coefficients, :attr:`Series.coeffs`, is built on first read and kept (a
 series built from rationals, or by :func:`_miller`, has it from the start).
 
-Every power, integer or rational, the inverse and the exponential are one
-integer kernel, J. C. P. Miller's power recurrence over a running lcm
-denominator (:func:`_miller`); there is no second powering algorithm.  Every
-power of a series of order 0 is one call of it, started from ``c_0^alpha``.
+Every power, integer or rational, and the inverse are one integer kernel,
+J. C. P. Miller's power recurrence over a running lcm denominator
+(:func:`_miller`); there is no second powering algorithm.  Every power of a
+series of order 0 is one call of it, started from ``c_0^alpha``.
 Composition is Brent–Kung baby-step/giant-step and reversion is Newton
 iteration on ``f(h) = t`` (Brent & Kung, "Fast algorithms for manipulating
 formal power series", J. ACM 25(4), 1978).  All are exact, so
@@ -193,7 +193,7 @@ class Series:
         a, den, n = self._nums, self._den, len(self._nums)
         lead = a[0]
         if lead == den or (q == 1 and lead):  # c_0 = 1, or an integer power of order 0
-            return _series(*_miller(a, lead, p + q, -q, q, Fraction(lead, den) ** p))
+            return _series(*_miller(a, p, q, Fraction(lead, den) ** p))
         if q != 1:
             raise ClassMismatchError("rational power needs constant term 1")
         if p < 0:
@@ -206,15 +206,6 @@ class Series:
         return _series((0,) * shift + power._nums, power._den)
 
     __pow__ = rat_pow
-
-    # -- transcendental operations ---------------------------------------
-
-    def exp(self) -> "Series":
-        """Series exponential by :func:`_miller` (``E' = E s'``); requires
-        order >= 1 (zero constant term)."""
-        if self._nums[0] != 0:
-            raise ClassMismatchError("series exponential needs order >= 1")
-        return _series(*_miller(self._nums, self._den, 1, 0, 1, Fraction(1)))
 
     # -- calculus helpers -------------------------------------------------
 
@@ -371,38 +362,32 @@ def _zero_prefix(nums: tuple, n: int) -> int:
     return v
 
 
-def _miller(a, d: int, u: int, v: int, q: int, p0: Fraction) -> tuple:
-    """The series with ``P_0 = p0`` and, for ``1 <= k < n = len(a)``,
+def _miller(a, p: int, q: int, p0: Fraction) -> tuple:
+    """``c^(p/q)`` for the series ``c_i = a[i] / den`` of order 0, from
+    ``P_0 = p0 = c_0^(p/q)``, as the triple ``(nums, lcm, coeffs)``: its
+    numerators over its lowest common denominator, which :func:`_series`
+    takes as they are, and its :class:`Fraction` coefficients.
 
-        q k d P_k = sum_{i=1..k} (u i + v k) a[i] P_{k-i},
+    This is J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7),
+    for ``1 <= k < len(a)``
 
-    for the integers ``a`` and the nonzero integer divisor ``d``, as the
-    triple ``(nums, lcm, coeffs)``: its numerators over its lowest common
-    denominator, which :func:`_series` takes as they are, and its
-    :class:`Fraction` coefficients.
+        q k a[0] P_k = sum_{i=1..k} ((p + q) i - q k) a[i] P_{k-i}:
 
-    This is J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7).
-    For a series ``c_i = a[i] / den`` of order 0 the divisor is its integer
-    lead ``a[0]``, as the common denominator cancels from
-    ``q k c_0 P_k = sum (u i + v k) c_i P_{k-i}``; the weights
-    ``(p + q, -q, q)`` from ``p0 = c_0^(p/q)`` give ``c^(p/q)``.  For
-    ``exp`` the divisor is ``den`` and ``(1, 0, 1)`` from ``p0 = 1`` give
-    ``exp(c - c_0)``.  ``a[0]`` itself is never read.
-
-    The sums run in integers: ``P_0 .. P_{k-1}`` are kept as numerators
-    over the running lcm ``lcm`` of their reduced denominators, rescaled
-    only when ``lcm`` grows.  Each coefficient is one integer sum and one
-    :class:`Fraction`; no common denominator ``d^k`` is ever built.
+    the divisor is the integer lead ``a[0]``, as ``den`` cancels, and the
+    weights are ``(p + q, -q, q)``.  The sums run in integers: ``P_0 ..
+    P_{k-1}`` are kept as numerators over the running lcm ``lcm`` of their
+    reduced denominators, rescaled only when ``lcm`` grows.  Each
+    coefficient is one weighted sum less ``q k`` times one plain sum, and
+    one :class:`Fraction`; no common denominator ``a[0]^k`` is ever built.
     """
     ints = [0, *a[1:]]
-    weighted = [u * i * x for i, x in enumerate(ints)]
+    weighted = [(p + q) * i * x for i, x in enumerate(ints)]
     out, nums, lcm = [p0], [p0.numerator], p0.denominator  # P_j = nums[j] / lcm
     for k in range(1, len(a)):
         back = nums[::-1]
-        acc = sum(map(operator.mul, weighted[1:k + 1], back))
-        if v:
-            acc += v * k * sum(map(operator.mul, ints[1:k + 1], back))
-        c = Fraction(acc, q * k * d * lcm)
+        acc = (sum(map(operator.mul, weighted[1:k + 1], back))
+               - q * k * sum(map(operator.mul, ints[1:k + 1], back)))
+        c = Fraction(acc, q * k * a[0] * lcm)
         out.append(c)
         if lcm % c.denominator:
             grow = c.denominator // math.gcd(lcm, c.denominator)

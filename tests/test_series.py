@@ -14,7 +14,7 @@ from umbral import ClassMismatchError, InvalidParameterError, OutOfRangeError, S
 from umbral.rationals import scaled_to_integers
 
 from oracles import (brute_compose, classical_bernoulli, conv_inverse, conv_power, conv_product,
-                     exp_sum, lagrange_revert)
+                     lagrange_revert)
 
 
 def exp_series(trunc: int) -> Series:
@@ -119,35 +119,6 @@ def test_inv_rejects_delta_series():
 def test_negative_power_rejects_delta():
     with pytest.raises(ClassMismatchError, match="invertible series"):
         Series.t(4) ** -2
-
-
-# -- exp -------------------------------------------------------------------------------
-
-
-def test_exp_of_mercator_series():
-    # log(1 + t) = t - t^2/2 + t^3/3 - ...
-    assert Series.from_text("0,1,-1/2,1/3").exp() == Series.from_text("1,1,0,0")
-
-
-def test_exp_of_t():
-    assert Series.t(4).exp() == Series.from_text("1,1,1/2,1/6")
-
-
-def test_exp_of_a_sum_is_the_product():
-    x = Series.from_text("0,1,0,-1/3,2", trunc=6)
-    y = Series.from_text("0,-2,1/2,0,5/7", trunc=6)
-    assert (x + y).exp() == x.exp() * y.exp()
-
-
-def test_exp_of_a_multiple_is_the_power():
-    x = Series.from_text("0,1,0,-1/3", trunc=6)
-    for p in (F(3), F(-2), F(1, 2), F(-5, 3)):
-        assert (p * x).exp() == x.exp() ** p
-
-
-def test_exp_requires_positive_order():
-    with pytest.raises(ClassMismatchError):
-        Series.from_text("1,1").exp()
 
 
 # -- rational powers -----------------------------------------------------------------------
@@ -458,7 +429,7 @@ def test_rat_pow_additivity(tail, p, q):
     assert s.rat_pow(p) * s.rat_pow(q) == s.rat_pow(p + q)
 
 
-# inv, exp and rat_pow share one integer recurrence (Miller's); each is
+# inv and rat_pow are one integer recurrence (Miller's); each is
 # checked against a schoolbook oracle on coefficients with zeros, signs and
 # denominators up to 10^9, which make the running lcm denominator grow
 wide = st.one_of(coeff, st.builds(F, st.integers(-10**9, 10**9), st.integers(1, 10**9)))
@@ -475,6 +446,7 @@ def wide_lists(low, high):
 @example([F(2), F(-1, 3)], 0, 5)  # alpha = 0
 @example([F(1, 7), F(0), F(-2)], -4, 1)  # integer alpha
 @example([F(0)] * 9, -5, 3)  # all-zero tail
+@example([F(1), F(1, 2), F(1, 6), F(1, 24), F(1, 120)], -5, 3)  # e^t, a negative rational power
 def test_rat_pow_matches_power_oracle(tail, p, q):
     # (s^(p/q))^q == s^p, both sides by schoolbook products
     s = Series([F(1)] + tail)
@@ -539,15 +511,6 @@ def test_integer_power_matches_conv_power(zeros, lead, tail, m):
 def test_inv_matches_conv_inverse(lead, tail):
     s = Series([lead] + tail)
     assert s.inv().coeffs == tuple(conv_inverse(s.coeffs, s.trunc))
-
-
-@settings(max_examples=30, deadline=None)
-@given(wide_lists(0, 19))
-@example([])
-@example([F(0), F(0), F(1, 2)])
-def test_exp_matches_power_sum_oracle(tail):
-    s = Series([F(0)] + tail)
-    assert s.exp().coeffs == tuple(exp_sum(s.coeffs, s.trunc))
 
 
 @settings(max_examples=40, deadline=None)
