@@ -49,6 +49,19 @@ def conv_power(a, m, n_terms):
     return power
 
 
+def exp_sum(s, n_terms):
+    """exp(s) as the finite sum of s^j / j! for j < n_terms; s[0] must be 0,
+    so s^j vanishes below t^j and the later terms add nothing."""
+    assert Fraction(s[0]) == 0
+    total = [Fraction(0)] * n_terms
+    power = [Fraction(1)] + [Fraction(0)] * (n_terms - 1)
+    for j in range(n_terms):
+        for k in range(n_terms):
+            total[k] += power[k] / math.factorial(j)
+        power = conv_product(power, s, n_terms)
+    return total
+
+
 def brute_compose(outer, inner, n_terms):
     """Compose by explicitly summing outer_k * inner^k; inner[0] must be 0."""
     assert Fraction(inner[0]) == 0

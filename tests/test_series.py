@@ -14,7 +14,7 @@ from umbral import ClassMismatchError, InvalidParameterError, OutOfRangeError, S
 from umbral.rationals import scaled_to_integers
 
 from oracles import (brute_compose, classical_bernoulli, conv_inverse, conv_power, conv_product,
-                     lagrange_revert)
+                     exp_sum, lagrange_revert)
 
 
 def exp_series(trunc: int) -> Series:
@@ -119,6 +119,41 @@ def test_inv_rejects_delta_series():
 def test_negative_power_rejects_delta():
     with pytest.raises(ClassMismatchError, match="invertible series"):
         Series.t(4) ** -2
+
+
+# -- exp -------------------------------------------------------------------------------
+# e^s is the coefficient-built e^t composed with s, the way a family builds
+# its exponentials, so these laws check compose, products and rat_pow.
+
+
+def exp_of(s: Series) -> Series:
+    return exp_series(s.trunc).compose(s)
+
+
+def test_exp_of_mercator_series():
+    # log(1 + t) = t - t^2/2 + t^3/3 - ...
+    assert exp_of(Series.from_text("0,1,-1/2,1/3")) == Series.from_text("1,1,0,0")
+
+
+def test_exp_of_t():
+    assert exp_of(Series.t(4)) == Series.from_text("1,1,1/2,1/6")
+
+
+def test_exp_of_a_sum_is_the_product():
+    x = Series.from_text("0,1,0,-1/3,2", trunc=6)
+    y = Series.from_text("0,-2,1/2,0,5/7", trunc=6)
+    assert exp_of(x + y) == exp_of(x) * exp_of(y)
+
+
+def test_exp_of_a_multiple_is_the_power():
+    x = Series.from_text("0,1,0,-1/3", trunc=6)
+    for p in (F(3), F(-2), F(1, 2), F(-5, 3)):
+        assert exp_of(p * x) == exp_of(x) ** p
+
+
+def test_exp_requires_positive_order():
+    with pytest.raises(ClassMismatchError):
+        exp_of(Series.from_text("1,1"))
 
 
 # -- rational powers -----------------------------------------------------------------------
@@ -511,6 +546,15 @@ def test_integer_power_matches_conv_power(zeros, lead, tail, m):
 def test_inv_matches_conv_inverse(lead, tail):
     s = Series([lead] + tail)
     assert s.inv().coeffs == tuple(conv_inverse(s.coeffs, s.trunc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_lists(0, 19))
+@example([])
+@example([F(0), F(0), F(1, 2)])
+def test_exp_matches_power_sum_oracle(tail):
+    s = Series([F(0)] + tail)
+    assert exp_of(s).coeffs == tuple(exp_sum(s.coeffs, s.trunc))
 
 
 @settings(max_examples=40, deadline=None)
